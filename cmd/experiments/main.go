@@ -26,7 +26,9 @@
 // observability middleware's overhead), plus the Internet-scale
 // section: the sharded world generator at the 600 and 10k tiers and
 // the snapshot load modes over those worlds (v1 streaming decode vs
-// format-v2 mmap), with the mmap load gated tier-independent. Results
+// validated fixed-width mmap), and serving readiness at the 600, 10k
+// and 100k tiers, with mapped v3 readiness at 100k gated against the
+// same world as v2 (index built on load). Results
 // are written to -benchout (BENCH_PR10.json by default) — the perf
 // trajectory CI uploads on every change — and printed as a table (or
 // to stdout as JSON with -json). -benchtime accepts a duration or

@@ -4,9 +4,11 @@
 //   - an exported snapshot file (-snapshot out.bin), the production
 //     path: the batch pipeline (hybridscan -export) produces the
 //     artifact, hybridserve loads and indexes it; with -mmap a
-//     format-v2 artifact (hybridscan -export-v2) is memory-mapped and
-//     served in place — load time independent of snapshot size, and
-//     hot reloads unmap a retired generation only after its last
+//     fixed-width artifact (hybridscan -export-v2) is validated,
+//     memory-mapped and served in place — a v3 file carries its serve
+//     index, so nothing is sorted or copied on load, a corrupt file
+//     fails the load or reload instead of being served, and hot
+//     reloads unmap a retired generation only after its last
 //     in-flight reader finishes;
 //   - raw measurement data (-irr, -v4, -v6), running the v2 pipeline
 //     once at startup and serving the result;
@@ -103,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		snapPath   = fs.String("snapshot", "", "serve an exported snapshot file")
-		mmapOn     = fs.Bool("mmap", false, "memory-map the -snapshot file instead of decoding it (requires a format-v2 artifact; load time independent of size)")
+		mmapOn     = fs.Bool("mmap", false, "memory-map the -snapshot file instead of decoding it (requires a fixed-width artifact from -export-v2; validated on load, a v3 file's serve index is used in place)")
 		irrPath    = fs.String("irr", "", "IRR database (RPSL), pipeline mode")
 		v4List     = fs.String("v4", "", "comma-separated IPv4 MRT archives or directories, pipeline mode")
 		v6List     = fs.String("v6", "", "comma-separated IPv6 MRT archives or directories, pipeline mode")

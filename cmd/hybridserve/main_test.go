@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -554,39 +556,34 @@ func TestLiveMRTChangesEndToEnd(t *testing.T) {
 
 var servingAddrRE = regexp.MustCompile(`serving on http://(\S+) `)
 
-// TestMmapServeEndToEnd boots run() with -snapshot -mmap against a real
-// format-v2 artifact: readiness flips once the mapped snapshot is
-// installed, data endpoints answer from the aliased tables, POST
-// /v1/reload remaps the file and retires the old mapping, and shutdown
-// is clean.
-func TestMmapServeEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a full serving loop")
-	}
-	w, err := testutil.BuildWorld(gen.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := snapshot.Capture(core.Analyze(w.D4, w.D6, w.Dict, core.DefaultOptions()))
-	if len(snap.Hybrids) == 0 {
-		t.Fatal("small world produced no hybrids")
-	}
-	path := filepath.Join(t.TempDir(), "world.snap2")
-	if err := snapshot.WriteFileV2(path, snap); err != nil {
-		t.Fatal(err)
-	}
-
+// serveMapped boots run() with -snapshot path -mmap on an ephemeral
+// port and waits until it is ready. It returns the base URL, the
+// server's log, and a shutdown function that cancels the run and
+// requires a clean exit.
+func serveMapped(t *testing.T, path string) (string, *syncBuffer, func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	orig := baseContext
 	baseContext = func() context.Context { return ctx }
-	defer func() { baseContext = orig }()
 
 	var stdout, stderr syncBuffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-snapshot", path, "-mmap", "-addr", "127.0.0.1:0"}, &stdout, &stderr)
 	}()
+	shutdown := func() {
+		t.Helper()
+		cancel()
+		defer func() { baseContext = orig }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v\nstderr:\n%s", err, stderr.String())
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("run did not shut down after cancel")
+		}
+	}
 
 	deadline := time.Now().Add(time.Minute)
 	var base string
@@ -605,50 +602,158 @@ func TestMmapServeEndToEnd(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-
-	req := func(method, path string) int {
-		t.Helper()
-		hr, err := http.NewRequest(method, base+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(hr)
-		if err != nil {
-			t.Fatalf("%s %s: %v", method, path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
 	for time.Now().Before(deadline) {
-		if req("GET", "/readyz") == http.StatusOK {
+		if code, _ := httpDo(t, "GET", base+"/readyz"); code == http.StatusOK {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	return base, &stderr, shutdown
+}
+
+// httpDo issues one request and returns its status and body.
+func httpDo(t *testing.T, method, url string) (int, string) {
+	t.Helper()
+	hr, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// smallSnapshot captures the small world's analysis.
+func smallSnapshot(t *testing.T) *snapshot.Snapshot {
+	t.Helper()
+	w, err := testutil.BuildWorld(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshot.Capture(core.Analyze(w.D4, w.D6, w.Dict, core.DefaultOptions()))
+	if len(snap.Hybrids) == 0 {
+		t.Fatal("small world produced no hybrids")
+	}
+	return snap
+}
+
+// TestMmapServeEndToEnd boots run() with -snapshot -mmap against a real
+// fixed-width artifact: readiness flips once the mapped snapshot is
+// installed, data endpoints answer from the aliased tables and index,
+// POST /v1/reload remaps the file and retires the old mapping, and
+// shutdown is clean.
+func TestMmapServeEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a full serving loop")
+	}
+	snap := smallSnapshot(t)
+	path := filepath.Join(t.TempDir(), "world.snap2")
+	if err := snapshot.WriteFileV2(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	base, _, shutdown := serveMapped(t, path)
+
 	h := snap.Hybrids[0]
 	rel := fmt.Sprintf("/v1/rel?a=%d&b=%d", uint32(h.Key.Lo), uint32(h.Key.Hi))
-	for _, p := range []string{"/readyz", "/v1/stats", rel} {
-		if code := req("GET", p); code != http.StatusOK {
+	for _, p := range []string{"/readyz", "/v1/stats", rel, fmt.Sprintf("/v1/as/%d", uint32(h.Key.Lo))} {
+		if code, _ := httpDo(t, "GET", base+p); code != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200 (mmap-served)", p, code)
 		}
 	}
 	// Remap via the reload endpoint; answers must be uninterrupted.
-	if code := req("POST", "/v1/reload"); code != http.StatusOK {
+	if code, _ := httpDo(t, "POST", base+"/v1/reload"); code != http.StatusOK {
 		t.Errorf("POST /v1/reload = %d, want 200", code)
 	}
-	if code := req("GET", rel); code != http.StatusOK {
+	if code, _ := httpDo(t, "GET", base+rel); code != http.StatusOK {
 		t.Errorf("GET %s after remap = %d, want 200", rel, code)
 	}
+	shutdown()
+}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v\nstderr:\n%s", err, stderr.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("run did not shut down after cancel")
+// TestMmapCorruptReloadKeepsServing is the crash regression: a reload
+// — SIGHUP or POST /v1/reload — of a snapshot file with one flipped
+// hybrid-class byte, in format v2 (no checksums, caught by the payload
+// checks) and in format v3 (caught by the section checksum), reports
+// the error, and the previous generation keeps serving.
+func TestMmapCorruptReloadKeepsServing(t *testing.T) {
+	snap := smallSnapshot(t)
+	var v3 bytes.Buffer
+	if err := snapshot.EncodeV2(&v3, snap); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := snapshot.DowngradeV2(v3.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "world.snap")
+	if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, stderr, shutdown := serveMapped(t, path)
+	defer shutdown()
+
+	h := snap.Hybrids[0]
+	rel := fmt.Sprintf("%s/v1/rel?a=%d&b=%d", base, uint32(h.Key.Lo), uint32(h.Key.Hi))
+	for _, tc := range []struct {
+		name      string
+		data      []byte
+		entrySize int // directory entry width of the format
+		wantErr   string
+	}{
+		{"v2", v2, 16, "invalid hybrid class"},
+		{"v3", v3.Bytes(), 24, "hybrid list: checksum mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Section 6 is the hybrid list; byte 10 of a record is the class.
+			bad := bytes.Clone(tc.data)
+			off := binary.LittleEndian.Uint64(bad[8+tc.entrySize*6:])
+			bad[off+10] = 0xFF
+			tmp := path + ".tmp"
+			if err := os.WriteFile(tmp, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(tmp, path); err != nil {
+				t.Fatal(err)
+			}
+
+			before := strings.Count(stderr.String(), "reload failed")
+			if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for strings.Count(stderr.String(), "reload failed") == before {
+				if time.Now().After(deadline) {
+					t.Fatalf("SIGHUP reload of a corrupt %s file logged no failure; stderr:\n%s", tc.name, stderr.String())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if log := stderr.String(); !strings.Contains(log[strings.LastIndex(log, "reload failed"):], tc.wantErr) {
+				t.Errorf("SIGHUP reload failure does not mention %q; stderr:\n%s", tc.wantErr, log)
+			}
+
+			code, body := httpDo(t, "POST", base+"/v1/reload")
+			if code == http.StatusOK || !strings.Contains(body, tc.wantErr) {
+				t.Errorf("POST /v1/reload of a corrupt %s file = %d %s, want an error mentioning %q", tc.name, code, body, tc.wantErr)
+			}
+
+			code, body = httpDo(t, "GET", base+"/v1/stats")
+			var stats serve.StatsResponse
+			if err := json.Unmarshal([]byte(body), &stats); err != nil || code != http.StatusOK {
+				t.Fatalf("GET /v1/stats = %d %s (%v)", code, body, err)
+			}
+			if stats.Generation != 1 {
+				t.Errorf("generation %d after failed reloads, want the first generation still serving", stats.Generation)
+			}
+			if code, body := httpDo(t, "GET", rel); code != http.StatusOK {
+				t.Errorf("GET %s after failed reloads = %d %s, want 200", rel, code, body)
+			}
+		})
 	}
 }

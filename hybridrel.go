@@ -270,20 +270,22 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) { return snapshot.Read(r) }
 // OpenSnapshot reads a snapshot file.
 func OpenSnapshot(path string) (*Snapshot, error) { return snapshot.Open(path) }
 
-// WriteSnapshotFileV2 writes a's snapshot to path atomically in format
-// version 2: fixed-width little-endian sections that MapSnapshot can
-// serve in place without a decode pass. OpenSnapshot reads both
-// formats; version-1 consumers need WriteSnapshotFile.
+// WriteSnapshotFileV2 writes a's snapshot to path atomically in the
+// fixed-width format (version 3): little-endian sections, the serve
+// index among them, each checksummed, that MapSnapshot serves in place
+// without a decode pass or an index build. OpenSnapshot reads every
+// format; version-1 consumers need WriteSnapshotFile.
 func WriteSnapshotFileV2(path string, a *Analysis) error {
 	return snapshot.WriteFileV2(path, snapshot.Capture(a))
 }
 
-// MapSnapshot memory-maps a format-v2 snapshot file and serves its
-// tables in place: load time is independent of snapshot size and the
-// resident set is only the pages queries actually touch. The caller
-// must Close the snapshot when done with it; a Server given a mapped
-// snapshot handles that across hot reloads. Version-1 files cannot be
-// mapped — re-export them with WriteSnapshotFileV2.
+// MapSnapshot memory-maps a fixed-width snapshot file (version 2 or 3)
+// and serves it in place after one validating pass over the file: a
+// corrupt file returns an error, and a version-3 file's serve index is
+// used as mapped, so a Server is ready without sorting or copying. The
+// caller must Close the snapshot when done with it; a Server given a
+// mapped snapshot handles that across hot reloads. Version-1 files
+// cannot be mapped — re-export them with WriteSnapshotFileV2.
 func MapSnapshot(path string) (*Snapshot, error) { return snapshot.Map(path) }
 
 // NewServer builds the HTTP serving layer over a snapshot; the

@@ -44,3 +44,26 @@ func TestCompareReports(t *testing.T) {
 		t.Errorf("zero baseline flagged %v", regs)
 	}
 }
+
+// TestMeasurePairInterleaves pins the sampling order behind the
+// ready-index gate: one warm-up call each, then a, b, a, b, … with the
+// median of each side's samples reported.
+func TestMeasurePairInterleaves(t *testing.T) {
+	var calls []string
+	ra, rb := measurePair("a", func() { calls = append(calls, "a") }, "b", func() { calls = append(calls, "b") }, Options{})
+	if len(calls) != 2*(pairSamples+1) {
+		t.Fatalf("%d calls, want %d", len(calls), 2*(pairSamples+1))
+	}
+	for i, c := range calls {
+		if want := []string{"a", "b"}[i%2]; c != want {
+			t.Fatalf("call %d ran %s, want %s: %v", i, c, want, calls)
+		}
+	}
+	if ra.Name != "a" || rb.Name != "b" || ra.Iters != pairSamples || rb.Iters != pairSamples || ra.NsPerOp <= 0 {
+		t.Errorf("results %+v %+v", ra, rb)
+	}
+	calls = nil
+	if ra, _ := measurePair("a", func() { calls = append(calls, "a") }, "b", func() {}, Options{Once: true}); ra.Iters != 1 || len(calls) != 1 {
+		t.Errorf("Once mode: %d samples, %d calls; want 1 and 1", ra.Iters, len(calls))
+	}
+}

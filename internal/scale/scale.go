@@ -636,8 +636,8 @@ func ratio(num, den int) float64 {
 	return float64(num) / float64(den)
 }
 
-// Fingerprint hashes the snapshot's canonical format-v2 encoding
-// (FNV-1a, streamed — no buffer). Two snapshots fingerprint equal iff
+// Fingerprint hashes the snapshot's canonical fixed-width encoding
+// (EncodeV2, format v3; FNV-1a). Two snapshots fingerprint equal iff
 // they are byte-identical on the wire, which is how the determinism
 // gate compares Parallelism=1 against Parallelism=N.
 func Fingerprint(s *snapshot.Snapshot) (uint64, error) {

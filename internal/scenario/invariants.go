@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"time"
 
@@ -293,7 +295,9 @@ const relSampleLimit = 32
 // middleware stack enabled — metrics, request timeout, load shedder —
 // so the agreement invariant also proves the observability layer never
 // perturbs a response body, and the /metrics exposition must parse and
-// account for every probe the invariant made.
+// account for every probe the invariant made. The mapped leg
+// (checkMapped) then replays the probes against the same snapshot
+// written as format v3 and served from the mapping.
 func checkServe(a *core.Analysis) error {
 	snap := snapshot.Capture(a)
 	reg := obs.NewRegistry()
@@ -360,10 +364,18 @@ func checkServe(a *core.Analysis) error {
 	}
 
 	// Probe /v1/rel over every hybrid link (both orientations) and a
-	// slice of the plain dual-stack population.
+	// slice of the plain dual-stack population. Every probed URL, the
+	// per-AS views of the probed endpoints, and the hybrid pages are
+	// replayed against the mapped leg below.
+	urls := []string{fmt.Sprintf("/v1/hybrids?limit=%d", serve.MaxLimit), "/v1/hybrids?offset=3&limit=7"}
+	for _, cl := range []string{"h1", "h2", "h3", "other"} {
+		urls = append(urls, fmt.Sprintf("/v1/hybrids?class=%s&limit=%d", cl, serve.MaxLimit))
+	}
 	probe := func(x, y asrel.ASN) error {
 		var rel serve.RelResponse
-		if err := get(fmt.Sprintf("/v1/rel?a=%d&b=%d", x, y), &rel); err != nil {
+		url := fmt.Sprintf("/v1/rel?a=%d&b=%d", x, y)
+		urls = append(urls, url, fmt.Sprintf("/v1/as/%d", x))
+		if err := get(url, &rel); err != nil {
 			return err
 		}
 		k := asrel.Key(x, y)
@@ -409,6 +421,10 @@ func checkServe(a *core.Analysis) error {
 		probed++
 	}
 
+	if err := checkMapped(snap, srv, urls); err != nil {
+		return err
+	}
+
 	// The middleware saw every request above; the exposition must parse
 	// and the per-endpoint counters must account for all of them.
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -426,6 +442,45 @@ func checkServe(a *core.Analysis) error {
 	}
 	if got, ok := exp.Value("hybridrel_snapshot_generation"); !ok || got < 1 {
 		return fmt.Errorf("/metrics snapshot generation %v (present %v)", got, ok)
+	}
+	return nil
+}
+
+// checkMapped is the mapped leg of the serve invariant: the snapshot
+// written in format v3, mapped, and served from the index aliased out
+// of the file must answer every URL with the same status and the same
+// bytes as heap, the server indexing the heap snapshot.
+func checkMapped(snap *snapshot.Snapshot, heap *serve.Server, urls []string) error {
+	dir, err := os.MkdirTemp("", "scenario-mapped-*")
+	if err != nil {
+		return fmt.Errorf("mapped leg: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "snapshot.v3")
+	if err := snapshot.WriteFileV2(path, snap); err != nil {
+		return fmt.Errorf("mapped leg: writing: %w", err)
+	}
+	m, err := snapshot.Map(path)
+	if err != nil {
+		return fmt.Errorf("mapped leg: %w", err)
+	}
+	mapped := serve.New(m)
+	defer m.Close()
+	for _, url := range urls {
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		heap.ServeHTTP(want, httptest.NewRequest("GET", url, nil))
+		mapped.ServeHTTP(got, httptest.NewRequest("GET", url, nil))
+		g, w := got.Body.Bytes(), want.Body.Bytes()
+		if got.Code != want.Code || !bytes.Equal(g, w) {
+			// Show where the bodies part, not the whole bodies.
+			i := 0
+			for i < min(len(g), len(w)) && g[i] == w[i] {
+				i++
+			}
+			from := max(0, i-40)
+			return fmt.Errorf("mapped leg: GET %s: mapped %d, heap %d; bodies differ at byte %d: mapped %q, heap %q",
+				url, got.Code, want.Code, i, g[from:min(len(g), i+40)], w[from:min(len(w), i+40)])
+		}
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // regressions).
 func TestLookupAllocs(t *testing.T) {
 	_, snap, _ := fixtures(t)
-	st := buildState(snap)
+	st := newState(snap)
 	if len(snap.Links4) == 0 || len(snap.Hybrids) == 0 {
 		t.Fatal("fixture world has no links/hybrids")
 	}
@@ -27,10 +27,15 @@ func TestLookupAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"lookupLink/hit", func() { lookupLink(st.link4, st.snap.Links4, present) }},
-		{"lookupLink/miss", func() { lookupLink(st.link4, st.snap.Links4, missing) }},
-		{"lookupAS/hit", func() { st.lookupAS(asn) }},
-		{"lookupAS/miss", func() { st.lookupAS(asrel.ASN(4200000000)) }},
+		{"lookupLink/hit", func() { lookupLink(st.snap.Links4, present) }},
+		{"lookupLink/miss", func() { lookupLink(st.snap.Links4, missing) }},
+		{"Index.Row/hit", func() { st.idx.Row(asn) }},
+		{"Index.Row/miss", func() { st.idx.Row(asrel.ASN(4200000000)) }},
+		{"Index.LinkPlanes/hit", func() { st.idx.LinkPlanes(present.Lo, present.Hi) }},
+		{"Index.LinkPlanes/miss", func() { st.idx.LinkPlanes(missing.Lo, missing.Hi) }},
+		{"Index.NeighborsOf", func() { st.idx.NeighborsOf(0) }},
+		{"Index.HybridsOf", func() { st.idx.HybridsOf(0) }},
+		{"Index.HybridsOfClass", func() { st.idx.HybridsOfClass(asrel.HybridOther) }},
 		{"lookupHybrid/hit", func() { st.lookupHybrid(hybrid) }},
 		{"lookupHybrid/miss", func() { st.lookupHybrid(missing) }},
 	}

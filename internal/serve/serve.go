@@ -2,9 +2,10 @@
 // indexed lookups: per-link relationship queries, per-AS adjacency
 // views, the paginated hybrid list, and the headline statistics.
 //
-// All per-AS and per-link indexes are computed once when a snapshot is
-// installed; request handlers only perform O(1) map lookups (O(degree)
-// for the per-AS view). The installed state lives behind an
+// Lookups go through the snapshot's serve index: aliased from the file
+// for a mapped format-v3 snapshot, built once when any other snapshot
+// is installed. Request handlers only binary-search sorted arrays
+// (O(degree) for the per-AS view). The installed state lives behind an
 // atomic.Pointer, so queries are lock-free and a hot reload — POST
 // /v1/reload or SIGHUP in cmd/hybridserve — swaps the whole indexed
 // state in one atomic store: in-flight requests finish against the
@@ -39,6 +40,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -278,7 +280,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ones into the change journal (served on /v1/changes), and — with
 // WithHistory — pushes the new state onto the time-travel ring.
 func (s *Server) Load(snap *snapshot.Snapshot) {
-	st := buildState(snap) // the expensive part, outside the lock
+	st := newState(snap) // the index build (if any) runs outside the lock
 	s.histMu.Lock()
 	prev := s.state.Load()
 	st.generation = s.generation.Add(1)
@@ -333,7 +335,7 @@ func (s *Server) Summary() (asns, links4, links6, hybrids int, ok bool) {
 		return 0, 0, 0, 0, false
 	}
 	defer st.release()
-	return len(st.asns), len(st.snap.Links4), len(st.snap.Links6), len(st.snap.Hybrids), true
+	return len(st.idx.ASNs), len(st.snap.Links4), len(st.snap.Links6), len(st.snap.Hybrids), true
 }
 
 // Reload runs the configured source and installs its snapshot. It is
@@ -379,16 +381,17 @@ func (s *Server) Reload(ctx context.Context) error {
 	}
 }
 
-// state is one immutable indexed snapshot. Everything a handler needs
-// is precomputed here, at load time, exactly once — as flat sorted
-// arrays in CSR layout rather than maps of pointers: the per-AS index
-// is one shared neighbor array sliced by offsets, link lookups are
-// binary searches over the snapshot's already-sorted link sets, and
-// the hybrid-by-key index is a sorted permutation of the hybrid list.
-// Load-time allocation is a handful of arrays instead of hundreds of
-// thousands of map cells.
+// state is one immutable installed snapshot. Everything a handler
+// needs beyond the snapshot's own tables is its serve index — aliased
+// from the mapped file for a format-v3 snapshot, built once at install
+// time otherwise. A per-link probe searches one AS's adjacency row for
+// the planes, the IPv6 link section for the visibility, and the
+// hybrid-by-key order; the per-AS view is one CSR row. The state owns
+// no sorted copies: the index lives inside the snapshot, so the
+// refcounted close below also retires it.
 type state struct {
 	snap *snapshot.Snapshot
+	idx  *snapshot.Index
 
 	// refs counts the holders keeping this state alive: the installed
 	// atomic pointer, each history-ring slot, and each in-flight request
@@ -399,87 +402,57 @@ type state struct {
 	// no-op and the whole scheme degenerates to plain GC.
 	refs atomic.Int64
 
-	// asns / entries are the per-AS index: entry i describes asns[i],
-	// ascending. Each entry's neighbor and hybrid runs are sub-slices
-	// of one shared backing array.
-	asns    []asrel.ASN
-	entries []asEntry
-	// link4 / link6 are the packed keys of snap.Links4 / snap.Links6,
-	// element for element, so a per-link probe is one binary search
-	// over a contiguous uint64 array.
-	link4, link6 []uint64
-	// hybByKey lists indexes into snap.Hybrids ordered by canonical
-	// link key; hybKeys holds the corresponding packed keys, parallel.
-	hybByKey []int32
-	hybKeys  []uint64
-	// byClass holds, per hybrid class, the indexes into snap.Hybrids in
-	// list (visibility) order, so filtered pagination is a slice.
-	byClass [asrel.HybridOther + 1][]int32
-
 	stats      StatsResponse
 	loadedAt   time.Time
 	generation uint64
 }
 
-// asEntry is one AS's precomputed adjacency.
-type asEntry struct {
-	// neighbors is sorted ascending by ASN (a sub-slice of the shared
-	// neighbor array).
-	neighbors  []neighborRef
-	deg4, deg6 int
-	// hybrids indexes into snap.Hybrids in list order (a sub-slice of
-	// the shared hybrid-membership array).
-	hybrids []int32
-}
-
-type neighborRef struct {
-	asn      asrel.ASN
-	in4, in6 bool
-}
-
-// packKeys extracts the packed canonical keys of a link set, element
-// for element.
-func packKeys(ls []snapshot.Link) []uint64 {
-	out := make([]uint64, len(ls))
-	for i, l := range ls {
-		out[i] = intern.Pack(l.Key)
+func newState(snap *snapshot.Snapshot) *state {
+	st := &state{
+		snap:     snap,
+		idx:      snap.Index(),
+		stats:    StatsOf(snap),
+		loadedAt: time.Now().UTC(),
 	}
-	return out
+	st.refs.Store(1) // the installed-pointer reference, dropped by the next Load
+	return st
 }
 
-// lookupLink binary-searches a packed key array (sorted, parallel to
-// its snapshot link set) for k.
+// lookupLink binary-searches a canonical link section in place for k.
 //
 //hybridrel:hotpath
-func lookupLink(keys []uint64, ls []snapshot.Link, k asrel.LinkKey) (vis int, ok bool) {
-	i, found := slices.BinarySearch(keys, intern.Pack(k))
+func lookupLink(ls []snapshot.Link, k asrel.LinkKey) (vis int, ok bool) {
+	i, found := slices.BinarySearchFunc(ls, intern.Pack(k), func(l snapshot.Link, u uint64) int {
+		return cmp.Compare(intern.Pack(l.Key), u)
+	})
 	if !found {
 		return 0, false
 	}
 	return ls[i].Visibility, true
 }
 
-// lookupAS returns the per-AS entry of asn.
-//
-//hybridrel:hotpath
-func (st *state) lookupAS(asn asrel.ASN) (*asEntry, bool) {
-	i, found := slices.BinarySearch(st.asns, asn)
-	if !found {
-		return nil, false
-	}
-	return &st.entries[i], true
-}
-
 // lookupHybrid returns the index into snap.Hybrids of the hybrid link
-// k, if any.
+// k, if any, searching the index's by-key order.
 //
 //hybridrel:hotpath
 func (st *state) lookupHybrid(k asrel.LinkKey) (int, bool) {
-	i, found := slices.BinarySearch(st.hybKeys, intern.Pack(k))
-	if !found {
-		return 0, false
+	// Searched by hand: a slices.BinarySearchFunc comparator would have
+	// to capture hs, and capturing closures allocate on the hot path.
+	u := intern.Pack(k)
+	hs, order := st.snap.Hybrids, st.idx.HybByKey
+	lo, hi := 0, len(order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if intern.Pack(hs[order[m]].Key) < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return int(st.hybByKey[i]), true
+	if lo < len(order) && hs[order[lo]].Key == k {
+		return int(order[lo]), true
+	}
+	return 0, false
 }
 
 // retain takes a request reference if the state is still alive. It
@@ -539,141 +512,6 @@ func (s *Server) acquireState() *state {
 	}
 }
 
-func buildState(snap *snapshot.Snapshot) *state {
-	st := &state{
-		snap:     snap,
-		link4:    packKeys(snap.Links4),
-		link6:    packKeys(snap.Links6),
-		stats:    StatsOf(snap),
-		loadedAt: time.Now().UTC(),
-	}
-	st.refs.Store(1) // the installed-pointer reference, dropped by the next Load
-
-	// Directed edge list: two per undirected link per plane, packed so
-	// one sort groups them by (src, dst) and dual-stack duplicates sit
-	// adjacent for the merge below.
-	type dirEdge struct {
-		key uint64 // src<<32 | dst
-		in6 bool
-	}
-	edges := make([]dirEdge, 0, 2*(len(snap.Links4)+len(snap.Links6)))
-	add := func(ls []snapshot.Link, in6 bool) {
-		for _, l := range ls {
-			a, b := uint64(l.Key.Lo), uint64(l.Key.Hi)
-			edges = append(edges,
-				dirEdge{key: a<<32 | b, in6: in6},
-				dirEdge{key: b<<32 | a, in6: in6})
-		}
-	}
-	add(snap.Links4, false)
-	add(snap.Links6, true)
-	slices.SortFunc(edges, func(x, y dirEdge) int {
-		switch {
-		case x.key < y.key:
-			return -1
-		case x.key > y.key:
-			return 1
-		// Plane order only matters for determinism of the merge loop.
-		case !x.in6 && y.in6:
-			return -1
-		case x.in6 && !y.in6:
-			return 1
-		}
-		return 0
-	})
-
-	// Merge duplicates into the shared neighbor array and cut it into
-	// per-source runs (the CSR rows).
-	nbrs := make([]neighborRef, 0, len(edges))
-	var srcOf []asrel.ASN // source AS of each merged neighborRef
-	for i := 0; i < len(edges); {
-		j := i + 1
-		for j < len(edges) && edges[j].key == edges[i].key {
-			j++
-		}
-		ref := neighborRef{asn: asrel.ASN(edges[i].key & 0xffffffff)}
-		for _, e := range edges[i:j] {
-			if e.in6 {
-				ref.in6 = true
-			} else {
-				ref.in4 = true
-			}
-		}
-		nbrs = append(nbrs, ref)
-		srcOf = append(srcOf, asrel.ASN(edges[i].key>>32))
-		i = j
-	}
-	for i := 0; i < len(nbrs); {
-		j := i + 1
-		for j < len(nbrs) && srcOf[j] == srcOf[i] {
-			j++
-		}
-		e := asEntry{neighbors: nbrs[i:j]}
-		for _, r := range e.neighbors {
-			if r.in4 {
-				e.deg4++
-			}
-			if r.in6 {
-				e.deg6++
-			}
-		}
-		st.asns = append(st.asns, srcOf[i])
-		st.entries = append(st.entries, e)
-		i = j
-	}
-
-	// Hybrid indexes: by canonical key for per-link probes, by class
-	// for filtered pagination, by endpoint for the per-AS view. The
-	// per-endpoint runs share one backing array, sized by a counting
-	// pass so nothing reallocates.
-	st.hybByKey = make([]int32, len(snap.Hybrids))
-	for i := range snap.Hybrids {
-		st.hybByKey[i] = int32(i)
-	}
-	slices.SortFunc(st.hybByKey, func(x, y int32) int {
-		ux, uy := intern.Pack(snap.Hybrids[x].Key), intern.Pack(snap.Hybrids[y].Key)
-		switch {
-		case ux < uy:
-			return -1
-		case ux > uy:
-			return 1
-		}
-		return 0
-	})
-	st.hybKeys = make([]uint64, len(st.hybByKey))
-	for i, idx := range st.hybByKey {
-		st.hybKeys[i] = intern.Pack(snap.Hybrids[idx].Key)
-	}
-	counts := make([]int32, len(st.asns))
-	endpoints := func(h core.HybridLink, fn func(entry int)) {
-		for _, end := range []asrel.ASN{h.Key.Lo, h.Key.Hi} {
-			if i, found := slices.BinarySearch(st.asns, end); found {
-				fn(i)
-			}
-		}
-	}
-	for _, h := range snap.Hybrids {
-		endpoints(h, func(i int) { counts[i]++ })
-	}
-	var total int32
-	for _, n := range counts {
-		total += n
-	}
-	shared := make([]int32, total)
-	var off int32
-	for i, n := range counts {
-		st.entries[i].hybrids = shared[off : off : off+n]
-		off += n
-	}
-	for i, h := range snap.Hybrids {
-		st.byClass[h.Class] = append(st.byClass[h.Class], int32(i))
-		endpoints(h, func(e int) {
-			st.entries[e].hybrids = append(st.entries[e].hybrids, int32(i))
-		})
-	}
-	return st
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -714,11 +552,15 @@ func (s *Server) handleRel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := asrel.Key(a, b)
-	_, in4 := lookupLink(st.link4, st.snap.Links4, k)
-	v6, in6 := lookupLink(st.link6, st.snap.Links6, k)
+	planes := st.idx.LinkPlanes(a, b)
+	in4, in6 := planes&snapshot.PlaneV4 != 0, planes&snapshot.PlaneV6 != 0
 	if !in4 && !in6 {
 		writeError(w, http.StatusNotFound, "link %s not observed in either plane", k)
 		return
+	}
+	var v6 int
+	if in6 {
+		v6, _ = lookupLink(st.snap.Links6, k)
 	}
 	resp := RelResponse{
 		A:           uint32(a),
@@ -748,28 +590,38 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, ok := st.lookupAS(asn)
+	row, ok := st.idx.Row(asn)
 	if !ok {
 		writeError(w, http.StatusNotFound, "%s not observed in either plane", asn)
 		return
 	}
+	nbrs, planes := st.idx.NeighborsOf(row)
+	hybs := st.idx.HybridsOf(row)
 	resp := ASResponse{
 		ASN:       uint32(asn),
-		Degree4:   e.deg4,
-		Degree6:   e.deg6,
-		Neighbors: make([]NeighborJSON, 0, len(e.neighbors)),
-		Hybrids:   make([]HybridJSON, 0, len(e.hybrids)),
+		Neighbors: make([]NeighborJSON, 0, len(nbrs)),
+		Hybrids:   make([]HybridJSON, 0, len(hybs)),
 	}
-	for _, n := range e.neighbors {
-		k := asrel.Key(asn, n.asn)
-		vis6, _ := lookupLink(st.link6, st.snap.Links6, k)
+	for i, n := range nbrs {
+		in4, in6 := planes[i]&snapshot.PlaneV4 != 0, planes[i]&snapshot.PlaneV6 != 0
+		if in4 {
+			resp.Degree4++
+		}
+		if in6 {
+			resp.Degree6++
+		}
+		k := asrel.Key(asn, n)
+		var vis6 int
+		if in6 {
+			vis6, _ = lookupLink(st.snap.Links6, k)
+		}
 		nj := NeighborJSON{
-			ASN:         uint32(n.asn),
-			In4:         n.in4,
-			In6:         n.in6,
-			DualStack:   n.in4 && n.in6,
-			V4:          st.snap.Rel4.Get(asn, n.asn).String(),
-			V6:          st.snap.Rel6.Get(asn, n.asn).String(),
+			ASN:         uint32(n),
+			In4:         in4,
+			In6:         in6,
+			DualStack:   in4 && in6,
+			V4:          st.snap.Rel4.Get(asn, n).String(),
+			V6:          st.snap.Rel6.Get(asn, n).String(),
 			Visibility6: vis6,
 		}
 		if i, ok := st.lookupHybrid(k); ok {
@@ -778,7 +630,7 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Neighbors = append(resp.Neighbors, nj)
 	}
-	for _, i := range e.hybrids {
+	for _, i := range hybs {
 		resp.Hybrids = append(resp.Hybrids, hybridJSON(st.snap.Hybrids[i]))
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -824,7 +676,7 @@ func (s *Server) handleHybrids(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Class = cl.String()
-		idx := st.byClass[cl]
+		idx := st.idx.HybridsOfClass(cl)
 		resp.Total = len(idx)
 		// An offset past the end of the filtered list yields an empty
 		// page, never a slice panic.
@@ -875,7 +727,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
-		ASNs:     len(st.asns),
+		ASNs:     len(st.idx.ASNs),
 		Links4:   len(st.snap.Links4),
 		Links6:   len(st.snap.Links6),
 		Hybrids:  len(st.snap.Hybrids),
@@ -894,7 +746,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ready",
-		ASNs:     len(st.asns),
+		ASNs:     len(st.idx.ASNs),
 		Links4:   len(st.snap.Links4),
 		Links6:   len(st.snap.Links6),
 		Hybrids:  len(st.snap.Hybrids),
@@ -919,7 +771,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "reloaded",
-		ASNs:     len(st.asns),
+		ASNs:     len(st.idx.ASNs),
 		Links4:   len(st.snap.Links4),
 		Links6:   len(st.snap.Links6),
 		Hybrids:  len(st.snap.Hybrids),

@@ -2,7 +2,8 @@
 
 package snapshot
 
-// aliasV2 on architectures without the little-endian 64-bit layout
-// guarantee declines, and Map falls back to the strict heap decoder —
-// correct everywhere, zero-copy where it matters.
-func aliasV2(data []byte, lay *v2Layout) (*Snapshot, bool) { return nil, false }
+// alias on architectures without the little-endian 64-bit layout
+// guarantee declines, and Map falls back to copying the sections onto
+// the heap before validating them — correct everywhere, zero-copy
+// where it matters.
+func alias(data []byte, lay *layout) (*Snapshot, bool) { return nil, false }

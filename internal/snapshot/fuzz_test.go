@@ -4,11 +4,12 @@ package snapshot
 // covering both wire formats. Beyond "never panic", the target enforces
 // two differential oracles: whatever Read accepts must re-encode and
 // re-decode to a stable form (Encode(Read(x)) is a fixed point), and
-// the v1↔v2 cross-version oracle — re-encoding the accepted snapshot in
-// format v2 and decoding that must yield the same canonical v1 bytes.
-// Version-2 seeds exercise the fixed-width path: valid artifacts,
-// header/offset-directory corruption, misaligned sections, and
-// truncation. The committed seed corpus under testdata/fuzz/FuzzRead is
+// the v1↔fixed-width cross-version oracle — re-encoding the accepted
+// snapshot with EncodeV2 (format v3) and decoding that must yield the
+// same canonical v1 bytes. Version-2 and version-3 seeds exercise the
+// fixed-width path: valid artifacts, header/offset-directory
+// corruption, misaligned sections, truncation, and a flipped
+// hybrid-class byte with and without re-sealed checksums. The committed seed corpus under testdata/fuzz/FuzzRead is
 // generated from a tiny testutil world (regenerate with
 // WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus).
 //
@@ -30,8 +31,8 @@ import (
 )
 
 // tinySnapshots encodes a miniature world's snapshot raw, compressed,
-// and in format v2 for fuzz seeds.
-func tinySnapshots(t testing.TB) (raw, gz, v2 []byte) {
+// and in formats v2 and v3 for fuzz seeds.
+func tinySnapshots(t testing.TB) (raw, gz, v2, v3 []byte) {
 	t.Helper()
 	cfg := gen.SmallConfig()
 	cfg.NumASes = 48
@@ -46,21 +47,23 @@ func tinySnapshots(t testing.TB) (raw, gz, v2 []byte) {
 		t.Fatal(err)
 	}
 	s := Capture(core.Analyze(w.D4, w.D6, w.Dict, core.DefaultOptions()))
-	var rawBuf, gzBuf, v2Buf bytes.Buffer
+	var rawBuf, gzBuf bytes.Buffer
 	if err := Encode(&rawBuf, s, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := Encode(&gzBuf, s, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeV2(&v2Buf, s); err != nil {
+	v3 = encodeV2Bytes(t, s)
+	v2, err = DowngradeV2(v3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rawBuf.Bytes(), gzBuf.Bytes(), v2Buf.Bytes()
+	return rawBuf.Bytes(), gzBuf.Bytes(), v2, v3
 }
 
 func FuzzRead(f *testing.F) {
-	raw, gz, v2 := tinySnapshots(f)
+	raw, gz, v2, v3 := tinySnapshots(f)
 	f.Add(raw)
 	f.Add(gz)
 	f.Add(raw[:len(raw)/2])
@@ -86,11 +89,17 @@ func FuzzRead(f *testing.F) {
 	misaligned := bytes.Clone(v2)
 	binary.LittleEndian.PutUint64(misaligned[8:], uint64(v2HeaderSize+1))
 	f.Add(misaligned)
-	var emptyV2 bytes.Buffer
-	if err := EncodeV2(&emptyV2, empty); err != nil {
-		f.Fatal(err)
+	f.Add(v2Bytes(f, empty))
+	// Version-3 seeds: a valid artifact, a truncation, an empty one, and
+	// a flipped hybrid-class byte — caught by the checksum as written,
+	// and by the payload checks once the checksums are re-sealed.
+	f.Add(v3)
+	f.Add(v3[:len(v3)/2])
+	f.Add(encodeV2Bytes(f, empty))
+	if flipped, ok := flipHybridClass(v3); ok {
+		f.Add(flipped)
+		f.Add(reseal(flipped))
 	}
-	f.Add(emptyV2.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Read(bytes.NewReader(data))
@@ -125,23 +134,24 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("codec is not a fixed point: %d vs %d bytes", first.Len(), second.Len())
 		}
 
-		// Cross-version oracle: re-encoding the accepted snapshot in
-		// format v2 and strictly decoding that must round-trip back to
-		// the same canonical v1 bytes, whichever version the input was.
-		var asV2 bytes.Buffer
-		if err := EncodeV2(&asV2, s); err != nil {
-			t.Fatalf("v2 re-encode of accepted snapshot failed: %v", err)
+		// Cross-version oracle: re-encoding the accepted snapshot with
+		// the fixed-width writer and strictly decoding that must
+		// round-trip back to the same canonical v1 bytes, whichever
+		// version the input was.
+		var fixed bytes.Buffer
+		if err := EncodeV2(&fixed, s); err != nil {
+			t.Fatalf("fixed-width re-encode of accepted snapshot failed: %v", err)
 		}
-		s3, err := Read(bytes.NewReader(asV2.Bytes()))
+		s3, err := Read(bytes.NewReader(fixed.Bytes()))
 		if err != nil {
-			t.Fatalf("decode of v2 re-encoded snapshot failed: %v", err)
+			t.Fatalf("decode of fixed-width re-encoded snapshot failed: %v", err)
 		}
 		var third bytes.Buffer
 		if err := Encode(&third, s3, false); err != nil {
-			t.Fatalf("v1 re-encode after v2 round trip failed: %v", err)
+			t.Fatalf("v1 re-encode after fixed-width round trip failed: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), third.Bytes()) {
-			t.Fatalf("v1↔v2 cross-version oracle violated: %d vs %d bytes", first.Len(), third.Len())
+			t.Fatalf("v1↔fixed-width cross-version oracle violated: %d vs %d bytes", first.Len(), third.Len())
 		}
 	})
 }
@@ -152,7 +162,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the seed corpus")
 	}
-	raw, gz, v2 := tinySnapshots(t)
+	raw, gz, v2, v3 := tinySnapshots(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzRead")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -171,4 +181,10 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	corrupt := bytes.Clone(v2)
 	binary.LittleEndian.PutUint64(corrupt[8+16*secLinks4:], uint64(v2HeaderSize+4))
 	write("seed-v2-misaligned", corrupt)
+	write("seed-v3", v3)
+	write("seed-v3-truncated", v3[:len(v3)/3])
+	if flipped, ok := flipHybridClass(v3); ok {
+		write("seed-v3-class-flipped", flipped)
+		write("seed-v3-class-flipped-resealed", reseal(flipped))
+	}
 }

@@ -31,11 +31,14 @@
 // wraps every failure in a descriptive error — corrupted or truncated
 // input returns an error, never panics.
 //
-// Format version 2 — the fixed-width little-endian layout built for
-// mmap serving — is documented and implemented in format2.go. Read
-// decodes both versions forever; Encode keeps writing version 1 (the
-// portable interchange form), EncodeV2/WriteFileV2 write version 2,
-// and Map serves a version-2 file in place without a decode pass.
+// The fixed-width formats built for mmap serving are documented and
+// implemented in format2.go: version 2 (tables only) and version 3
+// (tables plus the serve index, with per-section CRC-32C checksums).
+// Read decodes every version forever. Encode writes version 1, the
+// compressed interchange form and the canonical bytes of Bytes;
+// EncodeV2/WriteFileV2 are the one fixed-width writer and write
+// version 3; nothing writes version 2 any more. Map serves a
+// fixed-width file in place after validating it.
 package snapshot
 
 import (
@@ -101,6 +104,11 @@ type Snapshot struct {
 	Visibility core.Visibility
 	Valley     valley.Stats
 
+	// index is the serve index carried by a version-3 file (aliasing
+	// the mapping under Map); nil for every other snapshot, whose index
+	// Index builds on demand.
+	index *Index
+
 	// closer releases whatever backs the snapshot's slices — the file
 	// mapping for a snapshot produced by Map, nothing for heap-decoded
 	// snapshots. Managed through Close/AttachCloser.
@@ -109,7 +117,7 @@ type Snapshot struct {
 
 // Close releases the resources backing the snapshot: for a snapshot
 // produced by Map that unmaps the file, after which the tables, link
-// sections, and hybrid list must not be touched. For heap-decoded
+// sections, hybrid list and index must not be touched. For heap-decoded
 // snapshots Close is a no-op. Close is idempotent but not safe for
 // concurrent callers; the serving layer guarantees a single closer via
 // refcounting.
@@ -394,9 +402,9 @@ func Open(path string) (*Snapshot, error) {
 // flags, every element count, and the truncation trailer. Malformed
 // input of any kind — wrong file type, a future format version,
 // truncation at any byte, corrupted varints or enum codes — returns a
-// descriptive error; Read never panics on bad input. Both format
-// versions decode: version 1 exactly as always, version 2 via the
-// strict fixed-width decoder in format2.go.
+// descriptive error; Read never panics on bad input. Every format
+// version decodes: version 1 exactly as always, versions 2 and 3 via
+// the strict fixed-width decoder in format2.go.
 func Read(r io.Reader) (*Snapshot, error) {
 	hdr := make([]byte, 7)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -406,19 +414,19 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file)", hdr[:4])
 	}
 	version := binary.BigEndian.Uint16(hdr[4:6])
-	if version == 0 || version > Version2 {
-		return nil, fmt.Errorf("snapshot: file version %d is newer than the supported version %d; upgrade this binary or re-export the snapshot", version, Version2)
+	if version == 0 || version > Version3 {
+		return nil, fmt.Errorf("snapshot: file version %d is newer than the supported version %d; upgrade this binary or re-export the snapshot", version, Version3)
 	}
-	if version == Version2 {
-		// The fixed-width format is random-access by design; buffer the
-		// rest and hand the whole artifact to the strict v2 decoder.
+	if version >= Version2 {
+		// The fixed-width formats are random-access by design; buffer
+		// the rest and hand the whole artifact to the strict decoder.
 		rest, err := io.ReadAll(r)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: v2 payload: %w", err)
+			return nil, fmt.Errorf("snapshot: v%d payload: %w", version, err)
 		}
 		full := make([]byte, 0, len(hdr)+len(rest))
 		full = append(append(full, hdr...), rest...)
-		return readV2(full)
+		return readFixed(full)
 	}
 	flags := hdr[6]
 	if flags&^byte(flagGzip) != 0 {

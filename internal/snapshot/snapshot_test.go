@@ -196,7 +196,7 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "magic", []byte("NOTASNAPSHOT"), "bad magic")
 	})
 	t.Run("future version", func(t *testing.T) {
-		mustFail(t, "future", header(Version2+1, 0), "newer than the supported version")
+		mustFail(t, "future", header(Version3+1, 0), "newer than the supported version")
 	})
 	t.Run("version zero", func(t *testing.T) {
 		mustFail(t, "v0", header(0, 0), "newer than the supported version")
