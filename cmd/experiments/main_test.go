@@ -101,13 +101,14 @@ func TestRunBenchSmoke(t *testing.T) {
 		"scale/gen-600", "scale/gen-10k",
 		"snapshot/load-v1-600", "snapshot/load-mmap-600",
 		"snapshot/load-v1-10k", "snapshot/load-mmap-10k",
+		"serve/ready-600", "serve/ready-10k", "serve/ready-100k", "serve/ready-v2-100k",
 	} {
 		if !names[want] {
 			t.Errorf("benchmark %s missing from the suite", want)
 		}
 	}
-	if len(rep.Comparisons) != 7 {
-		t.Fatalf("got %d comparisons, want 7 (join, inference, dedup, live-infer, serve-obs, mmap-load, mmap-tier)", len(rep.Comparisons))
+	if len(rep.Comparisons) != 8 {
+		t.Fatalf("got %d comparisons, want 8 (join, inference, dedup, live-infer, serve-obs, mmap-load, mmap-tier, ready-index)", len(rep.Comparisons))
 	}
 	if rep.Scenario != "tunnel-heavy" || rep.World.DualStack == 0 {
 		t.Errorf("report world looks wrong: %+v", rep.World)

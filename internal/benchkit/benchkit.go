@@ -15,8 +15,10 @@
 // The harness is deliberately not `go test -bench`: cmd/experiments
 // must run it from a plain binary with a controllable per-benchmark
 // time budget (-benchtime=1x for the CI smoke job), so it carries its
-// own measurement loop: warm-up, then doubling batches until the time
-// budget is spent, with allocations read from runtime.MemStats deltas.
+// own measurement loop (measure): warm-up and doubling batches to size
+// a batch, then repeated batches interleaved across the benchmarks a
+// comparison relates, reporting medians, with allocations read from
+// runtime.MemStats deltas.
 package benchkit
 
 import (
@@ -91,6 +93,18 @@ const (
 // is the validation pass plus aliasing.
 const ReadyTargetSpeedup = 5.0
 
+// MmapTierMaxRatio bounds how Map's cost grows with file size: per
+// byte of file, mapping the 10k-tier snapshot may cost at most this
+// much of mapping the 600-AS one. Map is one linear validation pass
+// plus aliasing, so its per-byte cost is flat across tiers (the 600
+// tier also carries the fixed syscall and header cost, which only
+// favours the larger file); a superlinear pass fails the bound. The
+// same ratio bounds allocations per op, which are a fixed set of
+// headers at every tier (the margin absorbs the odd background
+// allocation the process-wide counters pick up), so allocating per
+// record fails it too.
+const MmapTierMaxRatio = 1.2
+
 // MmapLoadTargetSpeedup is the same-tier gate: at the 10k tier the
 // mmap load (validation included) must beat the full v1 decode of the
 // identical world by at least this factor.
@@ -116,6 +130,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	// InputBytes is the size of the input one op reads, set on rows a
+	// comparison relates per byte (the snapshot load rows).
+	InputBytes int64 `json:"input_bytes,omitempty"`
 }
 
 // Comparison relates an interned benchmark to its map-based baseline
@@ -165,15 +182,30 @@ func (r *Report) MeetsTargets() bool {
 	return true
 }
 
-// measure runs fn in doubling batches until the time budget is spent
-// (or exactly once in Once mode), reading allocation counters around
-// each batch.
-func measure(name string, opt Options, fn func()) Result {
+// samples is how many timed batches measure runs of each benchmark.
+const samples = 7
+
+// bench is one named benchmark body; bytes is its InputBytes.
+type bench struct {
+	name  string
+	fn    func()
+	bytes int64
+}
+
+// measure times a group of benchmarks. Each one's batch size is
+// doubled from a single warm-up call until one batch takes
+// budget/samples; then samples rounds each run one batch of every
+// benchmark in turn. A row reports its median batch's time per call
+// (allocations averaged over every timed call), so one slow batch on a
+// shared host moves no row, and a ratio between two benchmarks of one
+// group compares them under the same machine load. Once mode runs each
+// benchmark exactly once.
+func measure(opt Options, benches ...bench) []Result {
 	budget := opt.Benchtime
 	if budget <= 0 {
 		budget = time.Second
 	}
-	runBatch := func(n int) (time.Duration, uint64, uint64) {
+	runBatch := func(fn func(), n int) (time.Duration, uint64, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
@@ -184,87 +216,50 @@ func measure(name string, opt Options, fn func()) Result {
 		runtime.ReadMemStats(&after)
 		return elapsed, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	var (
-		iters   int
-		elapsed time.Duration
-		mallocs uint64
-		alloced uint64
-	)
+	batch := make([]int, len(benches))
+	rounds := samples
 	if opt.Once {
-		elapsed, mallocs, alloced = runBatch(1)
-		iters = 1
+		rounds = 1
+		for i := range batch {
+			batch[i] = 1
+		}
 	} else {
-		fn() // warm-up: populate caches, page in the world
-		batch := 1
-		for elapsed < budget {
-			e, m, b := runBatch(batch)
-			elapsed += e
-			mallocs += m
-			alloced += b
-			iters += batch
-			if batch < 1<<20 {
-				batch *= 2
+		for i, b := range benches {
+			n := 1
+			for {
+				if e, _, _ := runBatch(b.fn, n); e >= budget/samples || n >= 1<<20 {
+					break
+				}
+				n *= 2
 			}
+			batch[i] = n
 		}
 	}
-	return Result{
-		Name:        name,
-		Iters:       iters,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-		AllocsPerOp: float64(mallocs) / float64(iters),
-		BytesPerOp:  float64(alloced) / float64(iters),
-	}
-}
-
-// pairSamples is how many interleaved samples measurePair takes of
-// each side.
-const pairSamples = 7
-
-// measurePair times a and b as interleaved single-call samples — a, b,
-// a, b, … after one warm-up call each — and reports each side's median
-// sample (allocations averaged). A ratio gate between the two then
-// compares them under the same machine load, where two batches taken
-// at different moments can differ by more than the gate's margin on a
-// shared host. Once mode takes one sample of each.
-func measurePair(nameA string, a func(), nameB string, b func(), opt Options) (Result, Result) {
-	samples := pairSamples
-	if opt.Once {
-		samples = 1
-	} else {
-		a()
-		b()
-	}
-	type side struct {
-		ns               []float64
-		mallocs, alloced uint64
-	}
-	take := func(sd *side, fn func()) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		fn()
-		sd.ns = append(sd.ns, float64(time.Since(start).Nanoseconds()))
-		runtime.ReadMemStats(&after)
-		sd.mallocs += after.Mallocs - before.Mallocs
-		sd.alloced += after.TotalAlloc - before.TotalAlloc
-	}
-	var sa, sb side
-	for i := 0; i < samples; i++ {
-		take(&sa, a)
-		take(&sb, b)
-	}
-	result := func(name string, sd side) Result {
-		slices.Sort(sd.ns)
-		n := float64(len(sd.ns))
-		return Result{
-			Name:        name,
-			Iters:       len(sd.ns),
-			NsPerOp:     sd.ns[len(sd.ns)/2],
-			AllocsPerOp: float64(sd.mallocs) / n,
-			BytesPerOp:  float64(sd.alloced) / n,
+	ns := make([][]float64, len(benches))
+	mallocs := make([]uint64, len(benches))
+	alloced := make([]uint64, len(benches))
+	for r := 0; r < rounds; r++ {
+		for i, b := range benches {
+			e, m, a := runBatch(b.fn, batch[i])
+			ns[i] = append(ns[i], float64(e.Nanoseconds())/float64(batch[i]))
+			mallocs[i] += m
+			alloced[i] += a
 		}
 	}
-	return result(nameA, sa), result(nameB, sb)
+	out := make([]Result, len(benches))
+	for i, b := range benches {
+		slices.Sort(ns[i])
+		calls := batch[i] * rounds
+		out[i] = Result{
+			Name:        b.name,
+			Iters:       calls,
+			NsPerOp:     ns[i][len(ns[i])/2],
+			AllocsPerOp: float64(mallocs[i]) / float64(calls),
+			BytesPerOp:  float64(alloced[i]) / float64(calls),
+			InputBytes:  b.bytes,
+		}
+	}
+	return out
 }
 
 // Run executes the whole suite.
@@ -320,9 +315,12 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 		},
 	}
 
-	add := func(name string, fn func()) {
-		report.Results = append(report.Results, measure(name, opt, fn))
+	// group measures benchmarks together (interleaved batches); each
+	// comparison's two rows are measured in one group.
+	group := func(benches ...bench) {
+		report.Results = append(report.Results, measure(opt, benches...)...)
 	}
+	add := func(name string, fn func()) { group(bench{name: name, fn: fn}) }
 
 	// Ingest: full archive decode into the flat-accumulating datasets.
 	add("ingest/sequential", func() {
@@ -388,12 +386,11 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	// through the displaced string-key map dedup and the interned
 	// arena-hash dedup that replaced it.
 	obsPaths := DedupWorkload(a.D6.Paths())
-	add("dedup/stringkey", func() {
+	group(bench{name: "dedup/stringkey", fn: func() {
 		if LegacyDedup(obsPaths) == 0 {
 			panic("empty dedup")
 		}
-	})
-	add("dedup/interned", func() {
+	}}, bench{name: "dedup/interned", fn: func() {
 		d := dataset.New(asrel.IPv6)
 		for _, p := range obsPaths {
 			if err := d.AddPath(p, netip.Prefix{}, nil, 0, false); err != nil {
@@ -403,35 +400,33 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 		if d.NumUniquePaths() == 0 {
 			panic("empty dedup")
 		}
-	})
+	}})
 
 	// Dual-stack join: the seed's sort-and-probe over map link sets
 	// versus the interned two-pointer sweep over the frozen indexes.
-	add("join/map", func() {
+	group(bench{name: "join/map", fn: func() {
 		if core.LegacyDualStack(m4, m6) == nil {
 			panic("empty join")
 		}
-	})
-	add("join/flat", func() {
+	}}, bench{name: "join/flat", fn: func() {
 		if dataset.DualStack(a.D4, a.D6) == nil {
 			panic("empty join")
 		}
-	})
+	}})
 
 	// Inference derived products: join + hybrid detection + coverage,
 	// map-probing versus flat sweeps.
-	add("inference/map", func() {
+	group(bench{name: "inference/map", fn: func() {
 		_, hyb, cov := a.LegacyProducts(m4, m6)
 		if len(hyb) == 0 || cov.DualStack == 0 {
 			panic("empty products")
 		}
-	})
-	add("inference/flat", func() {
+	}}, bench{name: "inference/flat", fn: func() {
 		_, hyb, cov := a.ComputeProducts()
 		if len(hyb) == 0 || cov.DualStack == 0 {
 			panic("empty products")
 		}
-	})
+	}})
 
 	// Snapshot codec over the interned tables (uncompressed: the codec
 	// itself, not gzip).
@@ -502,8 +497,8 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 			}
 		}
 	}
-	add("serve/rel", relBench(srv))
-	add("serve/rel-instrumented", relBench(srvObs))
+	group(bench{name: "serve/rel", fn: relBench(srv)},
+		bench{name: "serve/rel-instrumented", fn: relBench(srvObs)})
 
 	// Live incremental re-inference: converge a streaming applier on the
 	// same world, then flap a couple of v4 routes — withdraw and
@@ -540,16 +535,14 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 			}
 		}
 	}
-	apInc := converge()
-	add("infer/incremental", func() {
+	apInc, apFull := converge(), converge()
+	group(bench{name: "infer/incremental", fn: func() {
 		flap(apInc)
 		apInc.Resolve()
-	})
-	apFull := converge()
-	add("infer/full", func() {
+	}}, bench{name: "infer/full", fn: func() {
 		flap(apFull)
 		apFull.Recompute()
-	})
+	}})
 	if inc, _ := apInc.Resolves(); inc == 0 {
 		return nil, fmt.Errorf("benchkit: flap cycle never took the incremental path")
 	}
@@ -558,22 +551,26 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	// snapshot load modes it feeds. Both load modes run at two tiers in
 	// the same report, so the comparisons below can gate both axes —
 	// mmap vs decode at the same size, and mmap across sizes.
-	addPair := func(nameA string, a func(), nameB string, b func()) {
-		ra, rb := measurePair(nameA, a, nameB, b, opt)
-		report.Results = append(report.Results, ra, rb)
-	}
-	if err := scaleBenchmarks(opt, add, addPair); err != nil {
+	if err := scaleBenchmarks(group); err != nil {
 		return nil, err
 	}
 
 	report.Comparisons = compare(report.Results)
-	// The readiness bound is a hard gate, not an informational target:
-	// a mapped v3 file that stopped being ready without an index build
-	// (the index rebuilt or copied on load) is a defect. Once mode
-	// measures a single iteration and is too noisy to gate on.
+	// The mmap tier bound and the readiness bound are hard gates, not
+	// informational targets: a Map whose cost per byte grows with the
+	// file or that allocates per record, or a mapped v3 file that
+	// stopped being ready without an index build (the index rebuilt or
+	// copied on load), is a defect. Once mode measures a single
+	// iteration and is too noisy to gate on.
 	if !opt.Once {
 		for _, c := range report.Comparisons {
-			if c.Name == "ready-index" && !c.MeetsTargets {
+			switch {
+			case c.MeetsTargets:
+			case c.Name == "mmap-tier":
+				return report, fmt.Errorf(
+					"benchkit: mmap load cost per byte grows with the file: the 10k tier costs %.2fx the 600-AS tier per byte (bound %.2fx), alloc ratio %.2f (bound %.2f)",
+					1/c.Speedup, MmapTierMaxRatio, c.AllocRatio, c.TargetAllocRatio)
+			case c.Name == "ready-index":
 				return report, fmt.Errorf(
 					"benchkit: mapped v3 readiness at 100k is only %.2fx faster than v2 with the index built on load (bound %.2fx, alloc ratio %.2f)",
 					c.Speedup, ReadyTargetSpeedup, c.AllocRatio)
@@ -588,15 +585,17 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 // mmap via Map, validation included) over the same generated worlds,
 // and serving readiness — Map, serve.New and the first lookup — at the
 // 600, 10k and 100k tiers, plus the 100k world written as format v2,
-// whose index the server builds on install; that gated pair is sampled
-// interleaved (measurePair). Artifacts go to throwaway files.
-func scaleBenchmarks(opt Options, add func(string, func()), addPair func(string, func(), string, func())) error {
+// whose index the server builds on install. The four load rows are one
+// group and the 100k readiness pair another, so each gated ratio
+// compares rows measured together. Artifacts go to throwaway files.
+func scaleBenchmarks(group func(...bench)) error {
 	dir, err := os.MkdirTemp("", "benchkit-scale-*")
 	if err != nil {
 		return fmt.Errorf("benchkit: %w", err)
 	}
 	defer os.RemoveAll(dir)
 
+	var loads, ready []bench
 	for _, tier := range []struct {
 		name string
 		cfg  scale.Config
@@ -610,11 +609,11 @@ func scaleBenchmarks(opt Options, add func(string, func()), addPair func(string,
 	} {
 		cfg := tier.cfg
 		if tier.loads {
-			add("scale/gen-"+tier.name, func() {
+			group(bench{name: "scale/gen-" + tier.name, fn: func() {
 				if _, err := scale.Build(cfg); err != nil {
 					panic(err)
 				}
-			})
+			}})
 		}
 		world, err := scale.Build(cfg)
 		if err != nil {
@@ -649,7 +648,7 @@ func scaleBenchmarks(opt Options, add func(string, func()), addPair func(string,
 			return fmt.Errorf("benchkit: %w", err)
 		}
 		if tier.loads {
-			add("snapshot/load-v1-"+tier.name, func() {
+			loads = append(loads, bench{name: "snapshot/load-v1-" + tier.name, fn: func() {
 				s, err := snapshot.Open(v1Path)
 				if err != nil {
 					panic(err)
@@ -657,8 +656,7 @@ func scaleBenchmarks(opt Options, add func(string, func()), addPair func(string,
 				if len(s.Links4) == 0 {
 					panic("empty decode")
 				}
-			})
-			add("snapshot/load-mmap-"+tier.name, func() {
+			}}, bench{name: "snapshot/load-mmap-" + tier.name, bytes: int64(v3.Len()), fn: func() {
 				s, err := snapshot.Map(v3Path)
 				if err != nil {
 					panic(err)
@@ -669,10 +667,8 @@ func scaleBenchmarks(opt Options, add func(string, func()), addPair func(string,
 				if err := s.Close(); err != nil {
 					panic(err)
 				}
-			})
-		}
-		if tier.loads {
-			add("serve/ready-"+tier.name, readyBench(v3Path, relURL))
+			}})
+			ready = append(ready, bench{name: "serve/ready-" + tier.name, fn: readyBench(v3Path, relURL)})
 			continue
 		}
 		// The gated pair: the same world as v3 and as v2.
@@ -684,8 +680,12 @@ func scaleBenchmarks(opt Options, add func(string, func()), addPair func(string,
 		if err := os.WriteFile(v2Path, v2, 0o644); err != nil {
 			return fmt.Errorf("benchkit: %w", err)
 		}
-		addPair("serve/ready-"+tier.name, readyBench(v3Path, relURL),
-			"serve/ready-v2-"+tier.name, readyBench(v2Path, relURL))
+		group(bench{name: "serve/ready-" + tier.name, fn: readyBench(v3Path, relURL)},
+			bench{name: "serve/ready-v2-" + tier.name, fn: readyBench(v2Path, relURL)})
+	}
+	group(loads...)
+	for _, b := range ready {
+		group(b)
 	}
 	return nil
 }
@@ -783,29 +783,36 @@ func compare(results []Result) []Comparison {
 	for _, pair := range []struct {
 		name, baseline, interned        string
 		targetSpeedup, targetAllocRatio float64
+		// perByte compares ns per input byte rather than per op.
+		perByte bool
 	}{
-		{"join", "join/map", "join/flat", TargetSpeedup, TargetAllocRatio},
-		{"inference", "inference/map", "inference/flat", TargetSpeedup, TargetAllocRatio},
+		{"join", "join/map", "join/flat", TargetSpeedup, TargetAllocRatio, false},
+		{"inference", "inference/map", "inference/flat", TargetSpeedup, TargetAllocRatio, false},
 		// The dedup rework is an allocation optimization: the gate is
 		// near-elimination of per-observation allocations without
 		// giving back wall-clock against the string-key map.
-		{"dedup", "dedup/stringkey", "dedup/interned", 1.0, DedupTargetAllocRatio},
+		{"dedup", "dedup/stringkey", "dedup/interned", 1.0, DedupTargetAllocRatio, false},
 		// Live re-inference: the full recompute is the baseline the
 		// dirty-set path must beat 5× on a small flap cycle.
-		{"live-infer", "infer/full", "infer/incremental", LiveTargetSpeedup, 1.0},
+		{"live-infer", "infer/full", "infer/incremental", LiveTargetSpeedup, 1.0, false},
 		// Observability overhead: the instrumented serve path may cost
 		// at most ObsMaxSlowdown of the bare one ("speedup" ≥ 1/1.05).
-		{"serve-obs", "serve/rel", "serve/rel-instrumented", 1 / ObsMaxSlowdown, ObsMaxAllocRatio},
+		{"serve-obs", "serve/rel", "serve/rel-instrumented", 1 / ObsMaxSlowdown, ObsMaxAllocRatio, false},
 		// Mmap load vs full v1 decode of the same 10k-tier world: the
 		// map is one validation pass plus aliasing, so it must win big.
 		// The alloc gate is loose — both paths allocate little in
 		// absolute terms (the decode's allocations are the point being
 		// avoided).
-		{"mmap-load", "snapshot/load-v1-10k", "snapshot/load-mmap-10k", MmapLoadTargetSpeedup, 1.0},
+		{"mmap-load", "snapshot/load-v1-10k", "snapshot/load-mmap-10k", MmapLoadTargetSpeedup, 1.0, false},
+		// Mmap load across tiers, per byte of file: the 10k tier may
+		// cost at most MmapTierMaxRatio of the 600-AS tier per byte,
+		// and allocate at most as much more per op — linear
+		// validation, a fixed set of headers.
+		{"mmap-tier", "snapshot/load-mmap-600", "snapshot/load-mmap-10k", 1 / MmapTierMaxRatio, MmapTierMaxRatio, true},
 		// Readiness at 100k: a mapped v3 file aliases its serve index;
 		// the same world as v2 builds the index on install. The v3 path
 		// may not allocate more than the build it replaces.
-		{"ready-index", "serve/ready-v2-100k", "serve/ready-100k", ReadyTargetSpeedup, 1.0},
+		{"ready-index", "serve/ready-v2-100k", "serve/ready-100k", ReadyTargetSpeedup, 1.0, false},
 	} {
 		base, okB := byName[pair.baseline]
 		flat, okF := byName[pair.interned]
@@ -819,7 +826,10 @@ func compare(results []Result) []Comparison {
 			TargetSpeedup:    pair.targetSpeedup,
 			TargetAllocRatio: pair.targetAllocRatio,
 		}
-		if flat.NsPerOp > 0 {
+		switch {
+		case pair.perByte && base.InputBytes > 0 && flat.InputBytes > 0 && flat.NsPerOp > 0:
+			c.Speedup = base.NsPerOp / float64(base.InputBytes) / (flat.NsPerOp / float64(flat.InputBytes))
+		case !pair.perByte && flat.NsPerOp > 0:
 			c.Speedup = base.NsPerOp / flat.NsPerOp
 		}
 		if base.AllocsPerOp > 0 {

@@ -1,6 +1,9 @@
 package benchkit
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func report(pairs ...[2]any) *Report {
 	r := &Report{}
@@ -45,25 +48,56 @@ func TestCompareReports(t *testing.T) {
 	}
 }
 
-// TestMeasurePairInterleaves pins the sampling order behind the
-// ready-index gate: one warm-up call each, then a, b, a, b, … with the
-// median of each side's samples reported.
-func TestMeasurePairInterleaves(t *testing.T) {
+// TestMeasureInterleaves pins the sampling order behind the gated
+// comparisons: each benchmark's warm-up batch, then one batch of each
+// in turn per round, with the median of each row's batches reported.
+// A nanosecond budget sizes every batch at one call.
+func TestMeasureInterleaves(t *testing.T) {
 	var calls []string
-	ra, rb := measurePair("a", func() { calls = append(calls, "a") }, "b", func() { calls = append(calls, "b") }, Options{})
-	if len(calls) != 2*(pairSamples+1) {
-		t.Fatalf("%d calls, want %d", len(calls), 2*(pairSamples+1))
+	rs := measure(Options{Benchtime: time.Nanosecond},
+		bench{name: "a", fn: func() { calls = append(calls, "a") }},
+		bench{name: "b", fn: func() { calls = append(calls, "b") }, bytes: 10})
+	if len(calls) != 2*(samples+1) {
+		t.Fatalf("%d calls, want %d", len(calls), 2*(samples+1))
 	}
 	for i, c := range calls {
 		if want := []string{"a", "b"}[i%2]; c != want {
 			t.Fatalf("call %d ran %s, want %s: %v", i, c, want, calls)
 		}
 	}
-	if ra.Name != "a" || rb.Name != "b" || ra.Iters != pairSamples || rb.Iters != pairSamples || ra.NsPerOp <= 0 {
-		t.Errorf("results %+v %+v", ra, rb)
+	if len(rs) != 2 || rs[0].Name != "a" || rs[1].Name != "b" || rs[0].Iters != samples || rs[1].Iters != samples || rs[0].NsPerOp <= 0 || rs[1].InputBytes != 10 {
+		t.Errorf("results %+v", rs)
 	}
 	calls = nil
-	if ra, _ := measurePair("a", func() { calls = append(calls, "a") }, "b", func() {}, Options{Once: true}); ra.Iters != 1 || len(calls) != 1 {
-		t.Errorf("Once mode: %d samples, %d calls; want 1 and 1", ra.Iters, len(calls))
+	if rs := measure(Options{Once: true}, bench{name: "a", fn: func() { calls = append(calls, "a") }}); rs[0].Iters != 1 || len(calls) != 1 {
+		t.Errorf("Once mode: %d iterations, %d calls; want 1 and 1", rs[0].Iters, len(calls))
+	}
+}
+
+// TestCompareMmapTierPerByte pins the tier gate to cost per byte of
+// file: a 10k-tier map ten times slower on a file ten times larger
+// meets it; the same time per op on a file of equal size, or a 10k
+// map that allocates half as much again, does not.
+func TestCompareMmapTierPerByte(t *testing.T) {
+	tier := func(ns600, ns10k float64, bytes10k int64, allocs10k float64) Comparison {
+		for _, c := range compare([]Result{
+			{Name: "snapshot/load-mmap-600", NsPerOp: ns600, AllocsPerOp: 10, InputBytes: 1000},
+			{Name: "snapshot/load-mmap-10k", NsPerOp: ns10k, AllocsPerOp: allocs10k, InputBytes: bytes10k},
+		}) {
+			if c.Name == "mmap-tier" {
+				return c
+			}
+		}
+		t.Fatal("no mmap-tier comparison")
+		return Comparison{}
+	}
+	if c := tier(100, 1000, 10000, 10); !c.MeetsTargets || c.Speedup != 1 {
+		t.Errorf("linear growth: %+v", c)
+	}
+	if c := tier(100, 1000, 1000, 10); c.MeetsTargets {
+		t.Errorf("10x per byte passed: %+v", c)
+	}
+	if c := tier(100, 1000, 10000, 15); c.MeetsTargets {
+		t.Errorf("growing allocations passed: %+v", c)
 	}
 }

@@ -37,7 +37,8 @@ package snapshot
 //	 10 neighbors  count × u32     neighbor ASNs, each run strictly ascending
 //	 11 planes     count × u8      plane bits of each neighbor link: 1 v4, 2 v6, 3 both
 //	 12 hybbykey   hybrids × u32   hybrid indexes ordered by (canonical key, index)
-//	 13 classrows  8 × u32         per-class offsets into hybbyclass
+//	 13 classrows  6 × u32         offsets into hybbyclass, one per class plus the end:
+//	                               (classes+1), classes NotHybrid..HybridOther
 //	 14 hybbyclass hybrids × u32   hybrid indexes grouped by class, list order within
 //	 15 hybrows    (asns+1) × u32  per-AS offsets into hybbyend
 //	 16 hybbyend   count × u32     hybrid indexes grouped by endpoint AS, list order within
@@ -583,8 +584,6 @@ func (v *validator) records(si, lo, hi int) error {
 	case secNeighbors:
 		// Strictly ascending within each row: walk the rows overlapping
 		// lo..hi, comparing each entry with its predecessor in the row.
-		// Strictly ascending within each row: walk the rows overlapping
-		// lo..hi, comparing each entry with its predecessor in the row.
 		r := v.run
 		for k := lo; k < hi; {
 			for int(x.Rows[r+1]) <= k {
@@ -655,25 +654,10 @@ func (v *validator) hybridRuns(si, lo, hi int, rows, list []uint32, belongs func
 }
 
 // firstOutside returns the position of the first byte of b outside
-// [lo, hi], or -1; lo is 0 or 1 and hi below 0x80. It tests eight bytes
-// per step: a byte above hi carries into its top bit once 0x7F-hi is
-// added to its low seven bits, and the zero-byte test is the classic
-// (w - 0x01…) &^ w & 0x80….
+// [lo, hi], or -1.
 func firstOutside(b []byte, lo, hi byte) int {
-	const ones, tops = 0x0101010101010101, 0x8080808080808080
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		w := binary.LittleEndian.Uint64(b[i:])
-		bad := ((w&^tops)+uint64(0x7F-hi)*ones|w)&tops != 0
-		if lo == 1 {
-			bad = bad || (w-ones)&^w&tops != 0
-		}
-		if bad {
-			break
-		}
-	}
-	for ; i < len(b); i++ {
-		if b[i] < lo || b[i] > hi {
+	for i, c := range b {
+		if c < lo || c > hi {
 			return i
 		}
 	}

@@ -518,32 +518,6 @@ func TestValidateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFirstOutside checks the eight-bytes-per-step range scan against
-// the plain byte loop, around every word boundary.
-func TestFirstOutside(t *testing.T) {
-	naive := func(b []byte, lo, hi byte) int {
-		for i, c := range b {
-			if c < lo || c > hi {
-				return i
-			}
-		}
-		return -1
-	}
-	for _, r := range []struct{ lo, hi byte }{{0, 4}, {1, 3}} {
-		for n := 0; n < 20; n++ {
-			for pos := 0; pos < n; pos++ {
-				for _, bad := range []byte{0, 1, 3, 4, 5, 0x7F, 0x80, 0xFF} {
-					b := bytes.Repeat([]byte{r.hi}, n)
-					b[pos] = bad
-					if got, want := firstOutside(b, r.lo, r.hi), naive(b, r.lo, r.hi); got != want {
-						t.Fatalf("range %d..%d, %d bytes, %#x at %d: got %d, want %d", r.lo, r.hi, n, bad, pos, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPortableViewMatchesAlias covers the view Map uses where aliasing
 // is unavailable: the heap copy of every section, index included,
 // passes the same validation and equals the aliased view.

@@ -12,11 +12,9 @@ import (
 // (the mapping keeps the pages alive), and the file may be renamed or
 // deleted underneath a live mapping without invalidating it — which is
 // exactly what the atomic WriteFileV2 temp-and-rename does during a
-// hot reload. Map's validation reads every page anyway, so where the
-// platform can (mapFlags) the pages are populated by the mmap call
-// itself rather than faulted in one by one.
+// hot reload.
 func mmapFile(f *os.File, size int) ([]byte, func() error, error) {
-	data, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, mapFlags)
+	data, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
 		return nil, nil, err
 	}
