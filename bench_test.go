@@ -465,7 +465,7 @@ func BenchmarkMRTVisit(b *testing.B) {
 
 // BenchmarkDedupStringKey and BenchmarkDedupInterned compare the
 // displaced string-key path dedup (clean copy + byte-string key + Go
-// map) against the interned arena-hash dedup the dataset now runs on.
+// map) against the arena-hash dedup the dataset now runs on.
 // Workload and legacy baseline are benchkit's own, so these numbers
 // and the `experiments -bench` dedup pair measure identical work.
 func BenchmarkDedupStringKey(b *testing.B) {

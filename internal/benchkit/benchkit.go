@@ -59,7 +59,7 @@ const (
 )
 
 // DedupTargetAllocRatio is the dedup pair's allocation gate: the
-// interned arena-hash dedup must allocate at most a tenth of what the
+// arena-hash dedup must allocate at most a tenth of what the
 // string-key map dedup does on the same observation stream (the
 // measured baseline is ~0.01×), at no wall-clock cost (speedup ≥ 1).
 const DedupTargetAllocRatio = 0.1
@@ -367,7 +367,7 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	})
 
 	// Concurrent ingest through the pipeline's worker pool: per-archive
-	// shards (each with its own interner and arena) frozen in their
+	// shards (each with its own arenas) frozen in their
 	// workers, then two-pointer merged in archive order.
 	srcNoIRR := src
 	srcNoIRR.IRR = nil
@@ -383,8 +383,9 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	})
 
 	// Dedup microbenchmark pair: the same observation stream pushed
-	// through the displaced string-key map dedup and the interned
-	// arena-hash dedup that replaced it.
+	// through the displaced string-key map dedup and the arena-hash
+	// dedup that replaced it (the row keeps its historical "interned"
+	// name so baselines line up).
 	obsPaths := DedupWorkload(a.D6.Paths())
 	group(bench{name: "dedup/stringkey", fn: func() {
 		if LegacyDedup(obsPaths) == 0 {
@@ -728,7 +729,7 @@ func DedupWorkload(paths []*dataset.PathObs) [][]asrel.ASN {
 // LegacyDedup is the displaced string-key dedup, preserved verbatim as
 // the microbenchmark baseline: clean with a copy and a map-backed loop
 // check, key with a freshly allocated big-endian byte string, probe a
-// Go map. The interned arena-hash path replaced exactly this. It
+// Go map. The arena-hash dedup replaced exactly this. It
 // returns the number of unique loop-free paths. Exported for the same
 // reason as DedupWorkload: one baseline definition for both benchmark
 // surfaces.

@@ -8,21 +8,22 @@
 // communities miner, the LocPrf calibration, the valley analysis —
 // consumes a Dataset, never the generator's ground truth.
 //
-// The ingest hot path is allocation-free in the steady state: paths are
-// interned into one grown arena of dense uint32 AS identifiers,
-// deduplicated through an open-addressed hash over the interned
-// sequence (no per-observation key strings), and link occurrences
-// accumulate directly into an open-addressed counter that freezes into
-// the sorted intern.Counts index on first query. Per-path costs are
-// paid only for *unique* paths; a duplicate observation touches nothing
-// but a hash probe and an observation counter.
+// The ingest hot path is allocation-free in the steady state: the AS
+// numbers of every unique path are appended to one grown arena,
+// deduplicated through an open-addressed hash over the AS sequence (no
+// per-observation key strings), and link occurrences accumulate
+// directly into an open-addressed counter that freezes into the sorted
+// intern.Counts index on first query. Per-path costs are paid only for
+// *unique* paths; a duplicate observation touches nothing but a hash
+// probe and an observation counter.
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"hybridrel/internal/asrel"
@@ -37,7 +38,9 @@ import (
 type PathObs struct {
 	// Vantage is the collector peer (the first AS of Path).
 	Vantage asrel.ASN
-	// Path runs vantage → origin, cleaned of prepending.
+	// Path runs vantage → origin, cleaned of prepending. It is
+	// read-only: it aliases the dataset's path arena, capacity-limited so
+	// an append copies instead of writing into the arena.
 	Path []asrel.ASN
 	// Prefixes lists the distinct prefixes observed with this path.
 	Prefixes []netip.Prefix
@@ -92,7 +95,7 @@ func (p packedPrefix) unpack() netip.Prefix {
 }
 
 // pathRec is the internal, arena-backed form of one unique path: its
-// interned AS sequence lives in the path arena at [off, end), its
+// AS sequence lives in the path arena at [off, end), its
 // community set in the community arena at [commOff, commEnd), its
 // first observed prefix packed inline (the overwhelmingly common shape
 // is one prefix per path), and any further prefixes in the dataset's
@@ -159,21 +162,24 @@ func (d *Dataset) numPrefixes(r *pathRec) int {
 
 // Dataset is the observed data of one address-family plane.
 //
-// Unique paths are stored as interned uint32 sequences in one arena
-// slice with per-path records alongside; deduplication probes an
-// open-addressed table keyed by a hash of the interned sequence. Link
+// Unique paths are stored as AS number sequences in one arena slice
+// with per-path records alongside; deduplication probes an
+// open-addressed table keyed by a hash of the sequence. Link
 // occurrences are accumulated in an open-addressed counter and folded
-// on first query into a sorted intern.Counts — the interned
-// representation every link lookup, the dual-stack join, and the
-// snapshot capture run on. The fold is incremental: only occurrences
-// that arrived since the last freeze are sorted and merged into the
-// standing index, so steady-state memory is O(distinct links), not
-// O(occurrences).
+// on first query into a sorted intern.Counts — the flat representation
+// every link lookup, the dual-stack join, and the snapshot capture run
+// on. The fold is incremental: only occurrences that arrived since the
+// last freeze are sorted and merged into the standing index, so
+// steady-state memory is O(distinct links), not O(occurrences).
+//
+// The arenas are append-only or replaced whole (by a sort or a merge),
+// never truncated or rewritten in place. That is what lets PathObs
+// values alias them: a Paths() result stays valid, reading the same
+// values, across any later mutation.
 type Dataset struct {
 	AF asrel.AF
 
-	in           *intern.Interner
-	arena        []uint32         // interned AS ids of every unique path, concatenated
+	arena        []asrel.ASN      // AS sequences of every unique path, concatenated
 	commArena    []bgp.Community  // community sets of every unique path, concatenated
 	recs         []pathRec        // one record per unique path
 	morePrefixes [][]packedPrefix // overflow prefixes beyond each rec's first
@@ -220,11 +226,7 @@ type Dataset struct {
 
 // New returns an empty dataset for one plane.
 func New(af asrel.AF) *Dataset {
-	return &Dataset{
-		AF:     af,
-		in:     intern.NewInterner(),
-		sorted: true,
-	}
+	return &Dataset{AF: af, sorted: true}
 }
 
 // cleanPathQuadraticMax bounds the pairwise loop check of CleanPath's
@@ -289,9 +291,8 @@ func CleanPath(raw []asrel.ASN) ([]asrel.ASN, error) {
 
 // cleanScr collapses prepending into the dataset's reusable scratch and
 // rejects loops, all without allocating in the steady state. The
-// returned slice is the scratch, valid until the next call. Note it
-// works on raw AS numbers: a duplicate observation — the overwhelming
-// steady-state case — never touches the interner.
+// returned slice is the scratch, valid until the next call.
+//
 //hybridrel:hotpath
 func (d *Dataset) cleanScr(raw []asrel.ASN) ([]asrel.ASN, error) {
 	if len(raw) == 0 {
@@ -340,6 +341,7 @@ func (d *Dataset) cleanScr(raw []asrel.ASN) ([]asrel.ASN, error) {
 // hashASNs mixes a cleaned AS sequence into the dedup table's hash
 // (FNV-1a over the AS numbers with a final avalanche, truncated to the
 // 32 bits the records cache).
+//
 //hybridrel:hotpath
 func hashASNs(p []asrel.ASN) uint32 {
 	h := uint64(1469598103934665603)
@@ -354,19 +356,11 @@ func hashASNs(p []asrel.ASN) uint32 {
 }
 
 // pathEq reports whether rec ri's arena sequence spells the AS path p.
-// The id→ASN translation is a slice index, so a probe costs no hashing.
+//
 //hybridrel:hotpath
 func (d *Dataset) pathEq(ri int32, p []asrel.ASN) bool {
 	r := &d.recs[ri]
-	if int(r.end-r.off) != len(p) {
-		return false
-	}
-	for i, id := range d.arena[r.off:r.end] {
-		if d.in.ASN(id) != p[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(d.arena[r.off:r.end], p)
 }
 
 // rehash (re)builds the dedup table sized for the current record
@@ -396,6 +390,7 @@ func (d *Dataset) tabInsert(h uint32, ri int32) {
 // find returns the rec index of the cleaned path, or -1. The cached
 // record hash pre-filters probe collisions so the element-wise path
 // compare runs (essentially) only on the true match.
+//
 //hybridrel:hotpath
 func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 	mask := uint64(len(d.tab) - 1)
@@ -419,8 +414,8 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 //
 // The steady-state cost of a duplicate observation — by far the common
 // case at route-collector scale — is one hash over the cleaned AS
-// sequence and one open-addressed probe: no allocation, no interner
-// lookups, no locking.
+// sequence and one open-addressed probe: no allocation, no locking.
+//
 //hybridrel:hotpath
 func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) error {
 	d.observations++
@@ -450,6 +445,7 @@ func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Comm
 // given first-seen attributes when absent. Link accounting is the
 // caller's: AddPath counts links at record creation, the live layer at
 // refcount activation.
+//
 //hybridrel:hotpath
 func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, hasLocPrf bool) (idx int32, created bool) {
 	if d.tab == nil || (len(d.recs)+1)*4 > len(d.tab)*3 {
@@ -462,9 +458,7 @@ func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, ha
 	}
 	idx = int32(len(d.recs))
 	off := uint32(len(d.arena))
-	for _, a := range p {
-		d.arena = append(d.arena, d.in.Intern(a))
-	}
+	d.arena = append(d.arena, p...)
 	commOff := uint32(len(d.commArena))
 	d.commArena = append(d.commArena, comms...)
 	d.recs = append(d.recs, pathRec{
@@ -526,43 +520,82 @@ func (d *Dataset) comparePathAt(i, j int32) int {
 }
 
 // comparePaths lexicographically compares one path from each dataset by
-// AS number sequence — the canonical order, identical to the byte order
-// of the big-endian key strings the pre-interned implementation sorted.
+// AS number sequence, a proper prefix first — the canonical order,
+// identical to the byte order of big-endian AS number key strings.
 func comparePaths(a *Dataset, ra *pathRec, b *Dataset, rb *pathRec) int {
-	pa, pb := a.arena[ra.off:ra.end], b.arena[rb.off:rb.end]
-	n := len(pa)
-	if len(pb) < n {
-		n = len(pb)
+	return slices.Compare(a.arena[ra.off:ra.end], b.arena[rb.off:rb.end])
+}
+
+// sortKey is one record's place in the canonical sort at some depth:
+// the next four AS numbers of its path packed two to a word, absent
+// positions as 0, and n, the number of AS numbers left (capped at 5).
+// Among paths that agree on their first depth AS numbers, comparing
+// (w0, w1, n) orders two paths exactly as comparePaths does, unless
+// both have more than four left and all four tie: a 0 pad ties with or
+// undercuts a real AS number, and where the words tie, the path that
+// ends in the window is a prefix of the other. Ties of that one kind
+// are refined on the next four.
+type sortKey struct {
+	w0, w1 uint64
+	rec    int32
+	n      uint32
+}
+
+func compareSortKeys(x, y sortKey) int {
+	if c := cmp.Compare(x.w0, y.w0); c != 0 {
+		return c
 	}
-	for i := 0; i < n; i++ {
-		x, y := a.in.ASN(pa[i]), b.in.ASN(pb[i])
-		if x != y {
-			if x < y {
-				return -1
-			}
-			return 1
-		}
+	if c := cmp.Compare(x.w1, y.w1); c != 0 {
+		return c
 	}
-	switch {
-	case len(pa) < len(pb):
-		return -1
-	case len(pa) > len(pb):
-		return 1
-	}
-	return 0
+	return cmp.Compare(x.n, y.n)
 }
 
 // sortedIndex returns the record indexes in canonical path order
 // without mutating the dataset (safe under the query lock).
 func (d *Dataset) sortedIndex() []int32 {
 	idx := make([]int32, len(d.recs))
-	for i := range idx {
-		idx[i] = int32(i)
+	if d.sorted {
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		return idx
 	}
-	if !d.sorted {
-		sort.Slice(idx, func(a, b int) bool { return d.comparePathAt(idx[a], idx[b]) < 0 })
+	keys := make([]sortKey, len(d.recs))
+	for i := range keys {
+		keys[i].rec = int32(i)
+	}
+	d.sortKeys(keys, 0)
+	for i, k := range keys {
+		idx[i] = k.rec
 	}
 	return idx
+}
+
+// sortKeys sorts records whose paths agree on their first depth AS
+// numbers into canonical order, by integer comparison alone.
+func (d *Dataset) sortKeys(keys []sortKey, depth uint32) {
+	for i := range keys {
+		r := &d.recs[keys[i].rec]
+		rest := d.arena[r.off+depth : r.end]
+		var w [4]asrel.ASN
+		copy(w[:], rest)
+		keys[i].w0 = uint64(w[0])<<32 | uint64(w[1])
+		keys[i].w1 = uint64(w[2])<<32 | uint64(w[3])
+		keys[i].n = uint32(min(len(rest), 5))
+	}
+	slices.SortFunc(keys, compareSortKeys)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && compareSortKeys(keys[i], keys[j]) == 0 {
+			j++
+		}
+		// Unique paths tie only when they continue past the window.
+		if j-i > 1 && keys[i].n == 5 {
+			d.sortKeys(keys[i:j], depth+4)
+		}
+		i = j
+	}
 }
 
 // ensureSorted rebuilds arena and recs in canonical path order. It
@@ -573,7 +606,7 @@ func (d *Dataset) ensureSorted() {
 		return
 	}
 	idx := d.sortedIndex()
-	arena := make([]uint32, 0, len(d.arena))
+	arena := make([]asrel.ASN, 0, len(d.arena))
 	recs := make([]pathRec, 0, len(d.recs))
 	var refs []int32
 	if d.live != nil {
@@ -636,19 +669,16 @@ func (d *Dataset) Merge(other *Dataset) error {
 	d.ensureSorted()
 	other.ensureSorted()
 
-	arena := make([]uint32, 0, len(d.arena)+len(other.arena))
+	arena := make([]asrel.ASN, 0, len(d.arena)+len(other.arena))
 	recs := make([]pathRec, 0, len(d.recs)+len(other.recs))
 	var dup intern.CountsAccum
 
 	adopt := func(src *Dataset, r pathRec, foreign bool) {
 		off := uint32(len(arena))
+		arena = append(arena, src.arena[r.off:r.end]...)
 		if foreign {
-			// A path adopted from other: re-intern its ASes into d's id
-			// space and move its community set and overflow prefixes
-			// into d's arenas.
-			for _, id := range src.arena[r.off:r.end] {
-				arena = append(arena, d.in.Intern(src.in.ASN(id)))
-			}
+			// A path adopted from other: move its community set and
+			// overflow prefixes into d's arenas.
 			commOff := uint32(len(d.commArena))
 			d.commArena = append(d.commArena, src.commArena[r.commOff:r.commEnd]...)
 			r.commOff, r.commEnd = commOff, uint32(len(d.commArena))
@@ -656,8 +686,6 @@ func (d *Dataset) Merge(other *Dataset) error {
 				d.morePrefixes = append(d.morePrefixes, src.morePrefixes[r.moreIdx])
 				r.moreIdx = int32(len(d.morePrefixes)) - 1
 			}
-		} else {
-			arena = append(arena, src.arena[r.off:r.end]...)
 		}
 		r.off, r.end = off, uint32(len(arena))
 		recs = append(recs, r)
@@ -691,7 +719,7 @@ func (d *Dataset) Merge(other *Dataset) error {
 			}
 			seq := other.arena[o.off:o.end]
 			for k := 1; k < len(seq); k++ {
-				dup.Add(asrel.Key(other.in.ASN(seq[k-1]), other.in.ASN(seq[k])), 1)
+				dup.Add(asrel.Key(seq[k-1], seq[k]), 1)
 			}
 			adopt(d, r, false)
 			i, j = i+1, j+1
@@ -773,7 +801,8 @@ func (d *Dataset) Dropped() (sets, loops int) { return d.droppedSets, d.droppedL
 
 // Paths returns all unique path observations ordered by (vantage,
 // path). The PathObs values are materialized once and cached until the
-// next mutation; the returned slice is the caller's.
+// next mutation; the returned slice is the caller's, the values it
+// points to are shared and read-only.
 func (d *Dataset) Paths() []*PathObs {
 	d.flatMu.Lock()
 	defer d.flatMu.Unlock()
@@ -793,14 +822,11 @@ func (d *Dataset) Paths() []*PathObs {
 	return out
 }
 
-// materialize builds the PathObs view of one record. The path slice is
-// fresh; communities alias the arena.
+// materialize builds the PathObs view of one record. The path and the
+// communities alias the arenas, capacity-limited to the record.
 func (d *Dataset) materialize(ri int32) *PathObs {
 	r := &d.recs[ri]
-	path := make([]asrel.ASN, r.end-r.off)
-	for i, id := range d.arena[r.off:r.end] {
-		path[i] = d.in.ASN(id)
-	}
+	path := d.arena[r.off:r.end:r.end]
 	var prefixes []netip.Prefix
 	if n := d.numPrefixes(r); n > 0 {
 		prefixes = make([]netip.Prefix, 0, n)
@@ -870,17 +896,10 @@ func (d *Dataset) Vantages() []asrel.ASN {
 		if d.live != nil && d.live.refs[i] == 0 {
 			continue
 		}
-		out = append(out, d.in.ASN(d.arena[d.recs[i].off]))
+		out = append(out, d.arena[d.recs[i].off])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // DualStack returns the links observed in both planes, in canonical

@@ -1,4 +1,4 @@
-// Live delta layer: withdrawal handling on top of the interned arena.
+// Live delta layer: withdrawal handling on top of the path arena.
 //
 // A live dataset is the mutable table a streaming ingester maintains:
 // routes arrive as announcements and withdrawals, and every derived
@@ -101,7 +101,7 @@ func (d *Dataset) Release(idx int32) (deactivated bool) {
 	r := &d.recs[idx]
 	seq := d.arena[r.off:r.end]
 	for i := 1; i < len(seq); i++ {
-		d.live.neg.Add(asrel.Key(d.in.ASN(seq[i-1]), d.in.ASN(seq[i])), 1)
+		d.live.neg.Add(asrel.Key(seq[i-1], seq[i]), 1)
 	}
 	return true
 }

@@ -7,6 +7,8 @@
 package communities
 
 import (
+	"slices"
+
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/community"
 	"hybridrel/internal/dataset"
@@ -52,14 +54,14 @@ func Infer(paths []*dataset.PathObs, dict *community.Dictionary) *Result {
 // aggregates its emissions over all paths, and the live incremental
 // engine replays them with opposite sign when a path is withdrawn, so
 // the two cannot drift apart.
+//
+// It allocates nothing: the tagger is found by a scan of the path,
+// which is short and (from a dataset) loop-free.
+//
+//hybridrel:hotpath
 func PathVotes(p *dataset.PathObs, dict *community.Dictionary, emit func(tagger, neighbor asrel.ASN, rel asrel.Rel)) (contributed bool, offPath int, hasTE bool) {
 	if len(p.Communities) == 0 || len(p.Path) < 2 {
 		return false, 0, false
-	}
-	// Index the path for tagger attribution.
-	pos := make(map[asrel.ASN]int, len(p.Path))
-	for i, a := range p.Path {
-		pos[a] = i
 	}
 	for _, c := range p.Communities {
 		meaning, ok := dict.Lookup(c)
@@ -71,8 +73,8 @@ func PathVotes(p *dataset.PathObs, dict *community.Dictionary, emit func(tagger,
 			continue
 		}
 		tagger := asrel.ASN(c.ASN())
-		i, onPath := pos[tagger]
-		if !onPath {
+		i := slices.Index(p.Path, tagger)
+		if i < 0 {
 			offPath++
 			continue
 		}

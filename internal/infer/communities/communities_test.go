@@ -140,3 +140,37 @@ func TestInferEmptyInputs(t *testing.T) {
 		t.Error("empty inference produced output")
 	}
 }
+
+// votesSeen counts emissions for TestPathVotesNoAlloc; a package
+// variable keeps the emit function capture-free.
+var votesSeen int
+
+// TestPathVotesNoAlloc pins PathVotes' allocation contract: mining a
+// path, with every kind of tag on it, allocates nothing. The path is
+// longer than eight ASes, past the size a per-path index could keep on
+// the stack.
+func TestPathVotesNoAlloc(t *testing.T) {
+	d := dict(t, map[bgp.Community]community.Meaning{
+		bgp.MakeCommunity(20, 100): community.MeaningCustomer,
+		bgp.MakeCommunity(10, 77):  community.MeaningPeer,
+		bgp.MakeCommunity(99, 1):   community.MeaningCustomer, // off the path
+		bgp.MakeCommunity(110, 2):  community.MeaningCustomer, // origin
+		bgp.MakeCommunity(30, 90):  community.MeaningTE,
+	})
+	p := obs([]asrel.ASN{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110},
+		bgp.MakeCommunity(20, 100), bgp.MakeCommunity(10, 77), bgp.MakeCommunity(99, 1),
+		bgp.MakeCommunity(110, 2), bgp.MakeCommunity(30, 90), bgp.MakeCommunity(30, 5))
+	emit := func(tagger, neighbor asrel.ASN, rel asrel.Rel) { votesSeen++ }
+	votesSeen = 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if contributed, offPath, hasTE := PathVotes(p, d, emit); !contributed || offPath != 2 || !hasTE {
+			t.Fatalf("PathVotes = %v, %d, %v; want true, 2, true", contributed, offPath, hasTE)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PathVotes allocates %.1f objects/op, want 0", allocs)
+	}
+	if votesSeen != 2*101 { // two usable tags, 100 runs plus the warm-up
+		t.Errorf("emitted %d votes over 101 calls, want %d", votesSeen, 2*101)
+	}
+}

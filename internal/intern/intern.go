@@ -112,17 +112,6 @@ func (in *Interner) Lookup(a asrel.ASN) (uint32, bool) {
 	}
 }
 
-// ASN inverts Intern. It panics on an unassigned ID, mirroring slice
-// indexing semantics.
-func (in *Interner) ASN(id uint32) asrel.ASN { return in.asns[id] }
-
-// Len returns the number of assigned IDs.
-func (in *Interner) Len() int { return len(in.asns) }
-
-// ASNs returns the interned AS numbers in ID order. The slice is owned
-// by the interner and must not be modified.
-func (in *Interner) ASNs() []asrel.ASN { return in.asns }
-
 // searchPacked returns the index of key in keys, or (insertion point,
 // false) when absent. keys must be sorted ascending.
 func searchPacked(keys []uint64, key uint64) (int, bool) {

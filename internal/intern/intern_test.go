@@ -41,9 +41,6 @@ func TestInterner(t *testing.T) {
 	if _, ok := in.Lookup(99); ok {
 		t.Fatal("Lookup invented an ID")
 	}
-	if in.Len() != 2 || in.ASN(0) != 64500 || in.ASN(1) != 64501 {
-		t.Fatalf("interner state wrong: len %d", in.Len())
-	}
 }
 
 func TestPackRoundTrip(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package live is the streaming counterpart of the batch pipeline: a
 // long-running ingester that consumes BGP UPDATE messages (RIS-Live
 // style), maintains a mutable live dataset per plane on top of the
-// interned arena's refcounting delta layer, re-infers relationships
+// path arena's refcounting delta layer, re-infers relationships
 // incrementally from a dirty-set tracker, and on a cadence captures a
 // snapshot and hot-swaps it into the serving layer with zero dropped
 // reads.

@@ -228,7 +228,7 @@ func (c *ctxReader) Read(b []byte) (int, error) {
 
 // Ingest runs the ingestion stage: every archive of both planes is
 // decoded by its own worker into a dataset shard — each shard with its
-// own interner, path arena, and link accumulator, so workers share no
+// own path arena and link accumulator, so workers share no
 // state — the IRR database is parsed alongside, and the frozen shards
 // are merged in archive order with linear two-pointer walks, which
 // makes the merged datasets identical to sequential ingestion. At

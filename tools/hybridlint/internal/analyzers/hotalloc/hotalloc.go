@@ -1,11 +1,12 @@
 // Package hotalloc enforces the repository's zero-steady-state-
 // allocation contract: a function annotated //hybridrel:hotpath must
 // not contain the heap-allocating constructs that killed the pre-PR5
-// ingest throughput. The annotated set is the PR5 hot chain —
-// internal/mrt visitor decode, internal/bgp scratch reuse,
-// internal/dataset arena AddPath, internal/intern table ops, and the
-// internal/serve per-request lookups — plus whatever future hot code
-// opts in.
+// ingest throughput. The annotated set is the ingest and mining hot
+// chain — internal/mrt visitor decode, internal/bgp scratch reuse,
+// internal/dataset AddPath over its AS-number path arena,
+// internal/infer/communities PathVotes, internal/intern table ops, and
+// the internal/serve per-request lookups — plus whatever future hot
+// code opts in.
 //
 // Flagged inside a hot function:
 //
