@@ -159,10 +159,11 @@ func BenchmarkF2CorrectionSweep(b *testing.B) {
 // ground truth.
 func BenchmarkX1BaselineAccuracy(b *testing.B) {
 	w, a := benchSetup(b)
+	paths6 := a.D6.Paths()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g6 := gao.Infer(a.D6.Paths(), gao.DefaultConfig())
-		r6 := rank.Infer(a.D6.Paths(), rank.DefaultConfig())
+		g6 := gao.Infer(paths6, gao.DefaultConfig())
+		r6 := rank.Infer(paths6, rank.DefaultConfig())
 		sg := infer.ScoreTable(g6.Table, w.Internet.Truth6, a.D6.Links())
 		sr := infer.ScoreTable(r6.Table, w.Internet.Truth6, a.D6.Links())
 		if sg.Classified == 0 || sr.Classified == 0 {

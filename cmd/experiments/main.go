@@ -421,8 +421,9 @@ func figure2(out io.Writer, a *core.Analysis, topN int, full bool) error {
 // x1 scores the single-plane baselines against ground truth — the §4
 // claim that existing algorithms cannot capture hybrid relationships.
 func x1(out io.Writer, w *hybridrel.World, a *core.Analysis) error {
-	gao6 := gao.Infer(a.D6.Paths(), gao.DefaultConfig())
-	rank6 := rank.Infer(a.D6.Paths(), rank.DefaultConfig())
+	paths6 := a.D6.Paths()
+	gao6 := gao.Infer(paths6, gao.DefaultConfig())
+	rank6 := rank.Infer(paths6, rank.DefaultConfig())
 	hybridKeys := make([]asrel.LinkKey, 0, len(a.Hybrids()))
 	for _, h := range a.Hybrids() {
 		hybridKeys = append(hybridKeys, h.Key)

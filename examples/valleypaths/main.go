@@ -36,10 +36,11 @@ func main() {
 	// Show a few concrete valley paths with their classification,
 	// using the internal analysis pieces directly.
 	d6 := analysis.D6
-	kinds, _ := valley.Classify(d6.Paths(), analysis.Rel6)
+	paths6 := d6.Paths()
+	kinds, _ := valley.Classify(paths6, analysis.Rel6)
 	fmt.Println("\nexample valley paths (relationships along the route):")
 	shown := 0
-	for i, p := range d6.Paths() {
+	for i, p := range paths6 {
 		if kinds[i] != valley.KindValley || shown == 4 {
 			continue
 		}

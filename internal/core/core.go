@@ -88,9 +88,8 @@ type Analysis struct {
 		coverage     Coverage
 		censusOnce   sync.Once
 		census       HybridCensus
-		visOnce      sync.Once
+		pathsOnce    sync.Once
 		visibility   Visibility
-		valOnce      sync.Once
 		valley       valley.Stats
 	}
 }
@@ -396,34 +395,7 @@ func (v Visibility) Share() float64 { return stats.Ratio(v.PathsWithHybrid, v.Pa
 // HybridVisibility scans every IPv6 path for hybrid links (cached
 // after the first call).
 func (a *Analysis) HybridVisibility() Visibility {
-	a.memo.visOnce.Do(func() {
-		hybrids := make(map[asrel.LinkKey]bool)
-		var hybDegrees []int
-		for _, h := range a.hybridList() {
-			hybrids[h.Key] = true
-			hybDegrees = append(hybDegrees,
-				a.graph6.Degree(h.Key.Lo), a.graph6.Degree(h.Key.Hi))
-		}
-		var dualDegrees []int
-		for _, k := range a.dualStack() {
-			dualDegrees = append(dualDegrees,
-				a.graph6.Degree(k.Lo), a.graph6.Degree(k.Hi))
-		}
-		v := Visibility{
-			MeanHybridEndpointDegree: stats.MeanInt(hybDegrees),
-			MeanDualEndpointDegree:   stats.MeanInt(dualDegrees),
-		}
-		for _, p := range a.D6.Paths() {
-			v.Paths++
-			for i := 0; i+1 < len(p.Path); i++ {
-				if hybrids[asrel.Key(p.Path[i], p.Path[i+1])] {
-					v.PathsWithHybrid++
-					break
-				}
-			}
-		}
-		a.memo.visibility = v
-	})
+	a.pathReports()
 	return a.memo.visibility
 }
 
@@ -431,11 +403,49 @@ func (a *Analysis) HybridVisibility() Visibility {
 // under the recovered relationships and assesses which valley paths are
 // necessary for reachability (§3 ¶4). Cached after the first call.
 func (a *Analysis) ValleyReport() valley.Stats {
-	a.memo.valOnce.Do(func() {
-		_, st := valley.Assess(a.D6.Paths(), a.Rel6, a.graph6)
-		a.memo.valley = st
-	})
+	a.pathReports()
 	return a.memo.valley
+}
+
+// pathReports computes both reports that scan every IPv6 path from one
+// Paths() result: the dataset builds a fresh result on every call, and
+// a live dataset sorts its paths to do so.
+func (a *Analysis) pathReports() {
+	a.memo.pathsOnce.Do(func() {
+		paths := a.D6.Paths()
+		a.memo.visibility = a.visibility(paths)
+		_, a.memo.valley = valley.Assess(paths, a.Rel6, a.graph6)
+	})
+}
+
+// visibility measures how present hybrid links are in the paths.
+func (a *Analysis) visibility(paths []*dataset.PathObs) Visibility {
+	hybrids := make(map[asrel.LinkKey]bool)
+	var hybDegrees []int
+	for _, h := range a.hybridList() {
+		hybrids[h.Key] = true
+		hybDegrees = append(hybDegrees,
+			a.graph6.Degree(h.Key.Lo), a.graph6.Degree(h.Key.Hi))
+	}
+	var dualDegrees []int
+	for _, k := range a.dualStack() {
+		dualDegrees = append(dualDegrees,
+			a.graph6.Degree(k.Lo), a.graph6.Degree(k.Hi))
+	}
+	v := Visibility{
+		MeanHybridEndpointDegree: stats.MeanInt(hybDegrees),
+		MeanDualEndpointDegree:   stats.MeanInt(dualDegrees),
+	}
+	for _, p := range paths {
+		v.Paths++
+		for i := 0; i+1 < len(p.Path); i++ {
+			if hybrids[asrel.Key(p.Path[i], p.Path[i+1])] {
+				v.PathsWithHybrid++
+				break
+			}
+		}
+	}
+	return v
 }
 
 // BaselineV6 builds the single-plane baseline annotation that Figure 2

@@ -99,8 +99,8 @@ func (p packedPrefix) unpack() netip.Prefix {
 // community set in the community arena at [commOff, commEnd), its
 // first observed prefix packed inline (the overwhelmingly common shape
 // is one prefix per path), and any further prefixes in the dataset's
-// overflow table at moreIdx. hash caches the dedup hash so table
-// growth re-probes without recomputing it.
+// overflow table at moreIdx. Its dedup hash lives only in the dedup
+// table (tabEntry).
 //
 // The record is deliberately pointer-free: the recs array is the
 // largest allocation ingestion grows, and keeping it out of the
@@ -109,7 +109,6 @@ func (p packedPrefix) unpack() netip.Prefix {
 type pathRec struct {
 	off, end         uint32
 	commOff, commEnd uint32
-	hash             uint32
 	obs              int32
 	locPrf           uint32
 	moreIdx          int32 // index into morePrefixes, -1 when none
@@ -175,7 +174,9 @@ func (d *Dataset) numPrefixes(r *pathRec) int {
 // The arenas are append-only or replaced whole (by a sort or a merge),
 // never truncated or rewritten in place. That is what lets PathObs
 // values alias them: a Paths() result stays valid, reading the same
-// values, across any later mutation.
+// values, across any later mutation. The arenas and records are the
+// only retained form of a path; Paths() builds its PathObs values
+// afresh on every call and the dataset keeps no reference to them.
 type Dataset struct {
 	AF asrel.AF
 
@@ -184,10 +185,11 @@ type Dataset struct {
 	recs         []pathRec        // one record per unique path
 	morePrefixes [][]packedPrefix // overflow prefixes beyond each rec's first
 
-	// tab is the open-addressed dedup index: slot values are rec index
-	// plus one, zero meaning empty. nil after a Merge (merged datasets
-	// are usually only queried); the next AddPath rebuilds it.
-	tab []int32
+	// tab is the open-addressed dedup index. nil after a Freeze that
+	// sorted or a Merge (record indexes moved; merged datasets are
+	// usually only queried); the next AddPath rebuilds it, rehashing
+	// every path from the arena.
+	tab []tabEntry
 
 	// sorted reports that recs is in canonical path order (lexicographic
 	// by AS sequence) — the order Merge's two-pointer walk consumes and
@@ -198,20 +200,13 @@ type Dataset struct {
 	flatScratch  []asrel.ASN        // flattened AS-path scratch for AddMRT
 	longSeen     map[asrel.ASN]bool // loop-check scratch for long paths
 
-	// mutations counts mutating calls; the materialized path cache
-	// records the count it was built at and rebuilds when it moved.
-	mutations uint64
-
-	// flatMu guards the lazily-built flat index and the materialized
-	// path cache: derived-product accessors may race on the first query
-	// after ingest. Mutation concurrent with queries remains
-	// unsupported, as it always was — which is why AddPath itself takes
-	// no lock.
-	flatMu    sync.Mutex
-	accum     intern.CountsAccum // occurrences not yet folded into flat
-	flat      *intern.Counts     // nil until the first freeze
-	pathsMemo []*PathObs         // materialized Paths(); nil when stale
-	memoAt    uint64             // mutation count pathsMemo was built at
+	// flatMu guards the lazily-built flat index: derived-product
+	// accessors may race on the first query after ingest. Mutation
+	// concurrent with queries remains unsupported, as it always was —
+	// which is why AddPath itself takes no lock.
+	flatMu sync.Mutex
+	accum  intern.CountsAccum // occurrences not yet folded into flat
+	flat   *intern.Counts     // nil until the first freeze
 
 	// ingest tallies
 	observations int
@@ -340,7 +335,7 @@ func (d *Dataset) cleanScr(raw []asrel.ASN) ([]asrel.ASN, error) {
 
 // hashASNs mixes a cleaned AS sequence into the dedup table's hash
 // (FNV-1a over the AS numbers with a final avalanche, truncated to the
-// 32 bits the records cache).
+// 32 bits a table entry carries).
 //
 //hybridrel:hotpath
 func hashASNs(p []asrel.ASN) uint32 {
@@ -363,16 +358,36 @@ func (d *Dataset) pathEq(ri int32, p []asrel.ASN) bool {
 	return slices.Equal(d.arena[r.off:r.end], p)
 }
 
+// tabEntry is one slot of the dedup table: a path's hash beside its
+// record index plus one, zero marking an empty slot. Carrying the hash
+// lets a probe skip a colliding slot without reading the record.
+type tabEntry struct {
+	hash uint32
+	rec  int32
+}
+
 // rehash (re)builds the dedup table sized for the current record
-// count, re-probing with each rec's cached hash.
+// count. Growth re-probes with the hashes the old entries carry; a
+// table dropped because the records moved rehashes every path from
+// the arena.
 func (d *Dataset) rehash() {
 	size := 64
 	for size < (len(d.recs)+1)*2 {
 		size *= 2
 	}
-	d.tab = make([]int32, size)
-	for i := range d.recs {
-		d.tabInsert(d.recs[i].hash, int32(i))
+	old := d.tab
+	d.tab = make([]tabEntry, size)
+	if old == nil {
+		for i := range d.recs {
+			r := &d.recs[i]
+			d.tabInsert(hashASNs(d.arena[r.off:r.end]), int32(i))
+		}
+		return
+	}
+	for _, e := range old {
+		if e.rec != 0 {
+			d.tabInsert(e.hash, e.rec-1)
+		}
 	}
 }
 
@@ -381,15 +396,15 @@ func (d *Dataset) rehash() {
 func (d *Dataset) tabInsert(h uint32, ri int32) {
 	mask := uint64(len(d.tab) - 1)
 	i := uint64(h) & mask
-	for d.tab[i] != 0 {
+	for d.tab[i].rec != 0 {
 		i = (i + 1) & mask
 	}
-	d.tab[i] = ri + 1
+	d.tab[i] = tabEntry{hash: h, rec: ri + 1}
 }
 
-// find returns the rec index of the cleaned path, or -1. The cached
-// record hash pre-filters probe collisions so the element-wise path
-// compare runs (essentially) only on the true match.
+// find returns the rec index of the cleaned path, or -1. The entry's
+// hash pre-filters probe collisions, so the records and the arena are
+// read (essentially) only on the true match.
 //
 //hybridrel:hotpath
 func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
@@ -397,11 +412,11 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 	i := uint64(h) & mask
 	for {
 		e := d.tab[i]
-		if e == 0 {
+		if e.rec == 0 {
 			return -1
 		}
-		if d.recs[e-1].hash == h && d.pathEq(e-1, p) {
-			return e - 1
+		if e.hash == h && d.pathEq(e.rec-1, p) {
+			return e.rec - 1
 		}
 		i = (i + 1) & mask
 	}
@@ -419,7 +434,6 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 //hybridrel:hotpath
 func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) error {
 	d.observations++
-	d.mutations++
 	p, err := d.cleanScr(raw)
 	if err != nil {
 		d.droppedLoops++
@@ -464,7 +478,6 @@ func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, ha
 	d.recs = append(d.recs, pathRec{
 		off: off, end: uint32(len(d.arena)),
 		commOff: commOff, commEnd: uint32(len(d.commArena)),
-		hash:   h,
 		locPrf: locPrf, hasLocPrf: hasLocPrf,
 		moreIdx: -1,
 	})
@@ -552,7 +565,7 @@ func compareSortKeys(x, y sortKey) int {
 }
 
 // sortedIndex returns the record indexes in canonical path order
-// without mutating the dataset (safe under the query lock).
+// without mutating the dataset, so concurrent queries may call it.
 func (d *Dataset) sortedIndex() []int32 {
 	idx := make([]int32, len(d.recs))
 	if d.sorted {
@@ -628,7 +641,6 @@ func (d *Dataset) ensureSorted() {
 	}
 	d.sorted = true
 	d.tab = nil // record indexes moved; rebuilt on the next AddPath
-	d.mutations++
 }
 
 // Freeze finalizes ingestion into the frozen form the merge and the
@@ -735,12 +747,10 @@ func (d *Dataset) Merge(other *Dataset) error {
 	d.arena, d.recs = arena, recs
 	d.sorted = true
 	d.tab = nil
-	d.mutations++
 
 	d.flatMu.Lock()
 	d.flat = intern.SubCounts(intern.MergeCounts(dFlat, oFlat), dup.Freeze())
 	d.accum = intern.CountsAccum{}
-	d.pathsMemo = nil
 	d.flatMu.Unlock()
 
 	d.observations += other.observations
@@ -800,56 +810,65 @@ func (d *Dataset) NumObservations() int { return d.observations }
 func (d *Dataset) Dropped() (sets, loops int) { return d.droppedSets, d.droppedLoops }
 
 // Paths returns all unique path observations ordered by (vantage,
-// path). The PathObs values are materialized once and cached until the
-// next mutation; the returned slice is the caller's, the values it
-// points to are shared and read-only.
+// path); for a live dataset, the active ones. Every call builds a fresh
+// result — the PathObs values in one slab, their prefixes in another —
+// that the dataset keeps no reference to: values written through one
+// result show in no other. Path and Communities alias the arenas and
+// are read-only (see PathObs). Paths only reads the dataset, so
+// concurrent calls need no lock; like every query, it must not run
+// concurrently with a mutation.
 func (d *Dataset) Paths() []*PathObs {
-	d.flatMu.Lock()
-	defer d.flatMu.Unlock()
-	if d.pathsMemo == nil || d.memoAt != d.mutations {
-		memo := make([]*PathObs, 0, len(d.recs))
-		for _, ri := range d.sortedIndex() {
-			if d.live != nil && d.live.refs[ri] == 0 {
-				continue // withdrawn path; invisible until re-announced
-			}
-			memo = append(memo, d.materialize(ri))
-		}
-		d.pathsMemo = memo
-		d.memoAt = d.mutations
+	idx := d.sortedIndex()
+	if d.live != nil {
+		// Withdrawn paths are invisible until re-announced.
+		idx = slices.DeleteFunc(idx, func(ri int32) bool { return d.live.refs[ri] == 0 })
 	}
-	out := make([]*PathObs, len(d.pathsMemo))
-	copy(out, d.pathsMemo)
+	nPrefixes := 0
+	for _, ri := range idx {
+		nPrefixes += d.numPrefixes(&d.recs[ri])
+	}
+	obs := make([]PathObs, len(idx))
+	prefixes := make([]netip.Prefix, 0, nPrefixes)
+	out := make([]*PathObs, len(idx))
+	for k, ri := range idx {
+		prefixes = d.materialize(&obs[k], ri, prefixes)
+		out[k] = &obs[k]
+	}
 	return out
 }
 
-// materialize builds the PathObs view of one record. The path and the
-// communities alias the arenas, capacity-limited to the record.
-func (d *Dataset) materialize(ri int32) *PathObs {
+// materialize fills o with the PathObs view of record ri. The path and
+// the communities alias the arenas, capacity-limited to the record;
+// the prefixes are appended to prefixes, which is returned, and o's
+// Prefixes is capacity-limited to its own.
+func (d *Dataset) materialize(o *PathObs, ri int32, prefixes []netip.Prefix) []netip.Prefix {
 	r := &d.recs[ri]
 	path := d.arena[r.off:r.end:r.end]
-	var prefixes []netip.Prefix
-	if n := d.numPrefixes(r); n > 0 {
-		prefixes = make([]netip.Prefix, 0, n)
+	var own []netip.Prefix
+	if r.prefix0.valid {
+		start := len(prefixes)
 		prefixes = append(prefixes, r.prefix0.unpack())
 		if r.moreIdx >= 0 {
 			for _, q := range d.morePrefixes[r.moreIdx] {
 				prefixes = append(prefixes, q.unpack())
 			}
 		}
+		own = prefixes[start:len(prefixes):len(prefixes)]
 	}
 	var comms []bgp.Community
 	if r.commEnd > r.commOff {
 		comms = d.commArena[r.commOff:r.commEnd:r.commEnd]
 	}
-	return &PathObs{
+	*o = PathObs{
 		Vantage:     path[0],
 		Path:        path,
-		Prefixes:    prefixes,
+		Prefixes:    own,
 		Communities: comms,
 		LocPrf:      r.locPrf,
 		HasLocPrf:   r.hasLocPrf,
 		Obs:         int(r.obs),
 	}
+	return prefixes
 }
 
 // Links returns the observed link keys in canonical order.

@@ -54,7 +54,6 @@ func (d *Dataset) Retain(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Commu
 		return -1, false, fmt.Errorf("dataset: Retain on a non-live dataset")
 	}
 	d.observations++
-	d.mutations++
 	p, err := d.cleanScr(raw)
 	if err != nil {
 		d.droppedLoops++
@@ -96,7 +95,6 @@ func (d *Dataset) Release(idx int32) (deactivated bool) {
 	if d.live.refs[idx] > 0 {
 		return false
 	}
-	d.mutations++
 	d.live.active--
 	r := &d.recs[idx]
 	seq := d.arena[r.off:r.end]
@@ -129,9 +127,12 @@ func (d *Dataset) RefCount(idx int32) int32 {
 	return d.live.refs[idx]
 }
 
-// RecObs materializes record idx as a PathObs, active or not — the
-// view an incremental inference engine mines when the record's
-// activation state flips.
+// RecObs materializes record idx as a fresh PathObs, active or not —
+// the view an incremental inference engine mines when the record's
+// activation state flips. Like Paths(), it builds the value on every
+// call and the dataset keeps no reference to it.
 func (d *Dataset) RecObs(idx int32) *PathObs {
-	return d.materialize(idx)
+	o := new(PathObs)
+	d.materialize(o, idx, make([]netip.Prefix, 0, d.numPrefixes(&d.recs[idx])))
+	return o
 }

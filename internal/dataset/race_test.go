@@ -1,10 +1,10 @@
 package dataset
 
-// Concurrency test for the lazily-built derived state: the first query
-// after ingest folds the pending link occurrences into the frozen flat
-// index and materializes the path cache, and any number of goroutines
-// may trigger that fold simultaneously. Mirrors core's analysis race
-// test; run under -race in CI.
+// Concurrency test for the query accessors: the first query after
+// ingest folds the pending link occurrences into the frozen flat index,
+// and any number of goroutines may trigger that fold simultaneously,
+// while Paths() builds each caller its own result without a lock.
+// Mirrors core's analysis race test; run under -race in CI.
 
 import (
 	"net/netip"
@@ -32,8 +32,8 @@ func TestConcurrentFirstFlatAccess(t *testing.T) {
 	wantVis := ref.LinkVisibility(asrel.Key(2, 3))
 	wantPaths := len(ref.Paths())
 
-	// Fresh dataset: nothing folded or materialized yet; every accessor
-	// races on the first freeze.
+	// Fresh dataset: nothing folded yet; every accessor races on the
+	// first freeze.
 	d := build()
 	const workers = 8
 	var wg sync.WaitGroup
